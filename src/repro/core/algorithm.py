@@ -13,7 +13,7 @@ CPU-core or graphics frequencies (Sec. 4.3-4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro import config
 from repro.core.demand import DemandPredictor, DemandPrediction
@@ -67,12 +67,20 @@ class HolisticPowerAlgorithm:
     operating_points: OperatingPointTable
     predictor: DemandPredictor
     evaluation_interval: float = config.EVALUATION_INTERVAL
+    io_memory_budgets: Dict[OperatingPoint, float] = field(init=False)
     _current: Optional[OperatingPoint] = field(default=None, init=False)
     _decisions: List[AlgorithmDecision] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.evaluation_interval <= 0:
             raise ValueError("evaluation interval must be positive")
+        # Each point's provisioned IO+memory power is a constant of (platform,
+        # point): build the table once rather than re-running the memory-power
+        # model on every 30 ms decision.
+        self.io_memory_budgets = {
+            point: point.provisioned_io_memory_power(self.platform)
+            for point in self.operating_points
+        }
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -116,7 +124,7 @@ class HolisticPowerAlgorithm:
         changed = target is not self._current
         self._current = target
 
-        io_memory_budget = target.provisioned_io_memory_power(self.platform)
+        io_memory_budget = self.io_memory_budgets[target]
         budgets = self.platform.pbm.budgets(io_memory_budget)
         decision = AlgorithmDecision(
             operating_point=target,

@@ -119,9 +119,18 @@ class SysScaleController(Policy):
     # Policy interface
     # ------------------------------------------------------------------
     def reset(self, platform: Platform, trace: WorkloadTrace) -> PolicyAction:
-        """Start a run at the high operating point (the boot default)."""
+        """Start a run at the high operating point (the boot default).
+
+        The budget table and the Fig. 5 flow are bound to the platform the
+        controller was built on, so a run on any other platform is refused
+        rather than silently mixing two platforms' budgets and hardware.
+        """
         del trace  # SysScale does not peek at the workload; it reacts to counters
-        self.platform = platform
+        if platform is not self.algorithm.platform:
+            raise ValueError(
+                "SysScaleController is bound to the platform it was built on; "
+                "build a new controller to run on another platform"
+            )
         self._current_point = self.algorithm.reset()
         self._transition_reports = []
         return self._action_for(self._current_point)
@@ -157,7 +166,11 @@ class SysScaleController(Policy):
     ) -> PolicyAction:
         if transition_latency is None:
             transition_latency = self.flow.estimate_latency(self._current_point, point)
-        return point.to_action(self.platform, transition_latency=transition_latency)
+        return point.to_action(
+            self.platform,
+            transition_latency=transition_latency,
+            io_memory_budget=self.algorithm.io_memory_budgets[point],
+        )
 
     # ------------------------------------------------------------------
     # Introspection

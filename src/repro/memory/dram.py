@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import config
 from repro.memory.timings import DramTimings, timings_for_frequency
@@ -80,6 +80,9 @@ class DramDevice:
     current_frequency: float = field(init=False)
     in_self_refresh: bool = field(init=False, default=False)
     _frequency_switch_count: int = field(init=False, default=0)
+    _bin_timings: Dict[float, DramTimings] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.frequency_bins:
@@ -94,6 +97,11 @@ class DramDevice:
             raise ValueError("channel count and bus width must be positive")
         # The default bin for most systems is the highest frequency (footnote 4).
         self.current_frequency = bins[0]
+        # A bin's timing set depends only on the device's content; build them
+        # once so the memory models' per-call lookups do not re-quantize.
+        self._bin_timings = {
+            frequency: self._compute_timings(frequency) for frequency in bins
+        }
 
     # ------------------------------------------------------------------
     # Frequency bins
@@ -180,10 +188,17 @@ class DramDevice:
         The frequency does not need to be one of the device's bins: callers such as
         the Fig. 6 sensitivity sweep evaluate hypothetical frequencies, for which
         the JEDEC reference latencies are simply re-quantized to the new clock.
+        Bin frequencies read the table built at construction.
         """
         target = self.current_frequency if frequency is None else frequency
+        timings = self._bin_timings.get(target)
+        if timings is None:
+            timings = self._compute_timings(target)
+        return timings
+
+    def _compute_timings(self, frequency: float) -> DramTimings:
         return timings_for_frequency(
-            target,
+            frequency,
             self.technology.value,
             channels=self.channels,
             bus_width_bytes=self.bus_width_bytes,

@@ -22,9 +22,10 @@ Every per-tick quantity above is a pure function of ``(phase, action, MRC
 register state)`` -- it only changes at phase boundaries, policy evaluations,
 and MRC reloads.  The default loop therefore advances the trace in *segments*:
 it evaluates the model stack once per segment (memoized by ``(phase
-characteristics, operating point, MRC register set)``, so recurring segments --
-Markov scenarios revisit phases constantly -- skip even that), then replays the
-seed engine's per-tick additions in a tight arithmetic-only inner loop.
+characteristics, operating point, loaded MRC set)``, all by content, so
+recurring segments -- Markov scenarios revisit phases constantly -- skip even
+that), then replays the seed engine's per-tick additions in a tight
+arithmetic-only inner loop.
 
 The bit-exactness strategy is *replay, not algebra*: the seed loop adds the
 same per-tick increment to each accumulator on every tick of a segment, and
@@ -304,7 +305,7 @@ class SimulationEngine:
             if phase_key is None:
                 phase_key = _phase_model_key(phase)
                 phase_keys[phase_id] = phase_key
-            key = (phase_key, _action_key(action), id(mrc_registers.loaded))
+            key = (phase_key, _action_key(action), mrc_registers.loaded)
             segment = memo.get(key)
             memo_hit = segment is not None
             if memo_hit:

@@ -16,8 +16,13 @@ from repro.core.operating_points import (
 )
 from repro.core.sysscale import SysScaleController
 from repro.core.thresholds import ThresholdCalibrator
+from repro.hw import get_hardware
+from repro.memory.dram import DramDevice
 from repro.perf.counters import CounterName, CounterSample
+from repro.sim.engine import SimulationEngine
+from repro.sim.platform import Platform, build_platform
 from repro.sim.policy import StaticDemandInfo
+from repro.workloads.batterylife import battery_life_workload
 from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
 from repro.workloads.microbenchmarks import compute_only_microbenchmark
 from repro.workloads.spec2006 import spec_workload
@@ -281,3 +286,86 @@ class TestSysScaleController:
         )
         result = engine.run(compute_only_microbenchmark(duration=0.2), controller)
         assert result.transition_time <= result.transitions * config.TRANSITION_TOTAL_LATENCY_BUDGET + 1e-9
+
+
+class TestDecisionTables:
+    """The per-point budget table must equal the model it replaces, bit for bit."""
+
+    TABLES = {
+        "default": build_default_operating_points,
+        "lowest": lambda: build_default_operating_points(include_lowest_bin=True),
+        "ddr4": build_ddr4_operating_points,
+    }
+
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    @pytest.mark.parametrize("variant", ["skylake", "broadwell", "skylake-ddr4"])
+    def test_budget_table_equals_fresh_model(self, variant, table, thresholds):
+        platform = get_hardware(variant).build()
+        points = self.TABLES[table]()
+        controller = SysScaleController(
+            platform=platform, operating_points=points, thresholds=thresholds
+        )
+        budgets = controller.algorithm.io_memory_budgets
+        assert len(budgets) == len(points)
+        for point in points:
+            assert budgets[point] == platform.worst_case_io_memory_power(
+                dram_frequency=point.dram_frequency,
+                interconnect_frequency=point.interconnect_frequency,
+                v_sa_scale=point.v_sa_scale,
+                v_io_scale=point.v_io_scale,
+            )
+
+    def test_reset_on_another_platform_is_refused(self, platform, thresholds):
+        controller = SysScaleController(platform=platform, thresholds=thresholds)
+        trace = compute_only_microbenchmark(duration=0.05)
+        other = build_platform(tdp=4.5)
+        with pytest.raises(ValueError, match="bound to the platform"):
+            controller.reset(other, trace)
+        with pytest.raises(ValueError, match="bound to the platform"):
+            SimulationEngine(other).run(trace, controller)
+        controller.reset(platform, trace)  # its own platform still works
+
+
+class TestDecisionPathWorkCounters:
+    """Decisions read tables: model calls must not scale with decision count."""
+
+    def _counted_run(self, monkeypatch, platform, operating_points, thresholds, cycles):
+        counts = {"budget": 0, "timings": 0}
+        worst_case = Platform.worst_case_io_memory_power
+        timings = DramDevice.timings
+
+        def counting_worst_case(self, *args, **kwargs):
+            counts["budget"] += 1
+            return worst_case(self, *args, **kwargs)
+
+        def counting_timings(self, *args, **kwargs):
+            counts["timings"] += 1
+            return timings(self, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Platform, "worst_case_io_memory_power", counting_worst_case)
+            patch.setattr(DramDevice, "timings", counting_timings)
+            controller = SysScaleController(
+                platform=platform, operating_points=operating_points, thresholds=thresholds
+            )
+            engine = SimulationEngine(platform)
+            engine.run(battery_life_workload("web_browsing", cycles=cycles), controller)
+        return counts, len(controller.algorithm.decisions), engine.last_run_stats
+
+    def test_model_calls_do_not_grow_with_decisions(
+        self, monkeypatch, platform, operating_points, thresholds
+    ):
+        short, short_decisions, short_stats = self._counted_run(
+            monkeypatch, platform, operating_points, thresholds, cycles=2
+        )
+        long, long_decisions, long_stats = self._counted_run(
+            monkeypatch, platform, operating_points, thresholds, cycles=8
+        )
+        assert long_decisions >= 4 * short_decisions > 0
+        for counts in (short, long):
+            assert counts["budget"] <= len(operating_points)
+        # The only per-event DRAM-timing reader left is the transition path,
+        # which prices each executed transition once.
+        extra_transitions = long_stats.transitions - short_stats.transitions
+        assert long["timings"] - short["timings"] <= extra_transitions
+        assert extra_transitions < (long_decisions - short_decisions) / 10

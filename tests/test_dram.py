@@ -3,6 +3,7 @@
 import pytest
 
 from repro import config
+from repro.memory import dram as dram_module
 from repro.memory.dram import (
     DramDevice,
     DramOrganization,
@@ -139,3 +140,49 @@ class TestDramDevice:
     def test_device_requires_bins(self):
         with pytest.raises(ValueError):
             DramDevice(technology=DramTechnology.LPDDR3, frequency_bins=())
+
+
+class TestBinTimingTable:
+    """``DramDevice.timings`` reads a per-bin table that must equal the model."""
+
+    DEVICES = {"lpddr3": lpddr3_device, "ddr4": ddr4_device}
+
+    @pytest.mark.parametrize("technology", sorted(DEVICES))
+    def test_table_equals_fresh_timings(self, technology):
+        device = self.DEVICES[technology]()
+        off_bin = 1.2e9
+        assert not device.supports_frequency(off_bin)
+        for frequency in (*device.frequency_bins, off_bin):
+            fresh = timings_for_frequency(
+                frequency,
+                technology,
+                channels=device.channels,
+                bus_width_bytes=device.bus_width_bytes,
+            )
+            assert device.timings(frequency) == fresh
+            assert device.peak_bandwidth(frequency) == fresh.peak_bandwidth
+
+    def test_current_bin_follows_frequency_switches(self):
+        device = lpddr3_device()
+        device.enter_self_refresh()
+        device.set_frequency(1.06e9)
+        device.exit_self_refresh()
+        assert device.timings() == timings_for_frequency(1.06e9, "lpddr3")
+
+    def test_only_off_bin_frequencies_are_computed(self, monkeypatch):
+        device = lpddr3_device()
+        calls = []
+        original = dram_module.timings_for_frequency
+
+        def counting(frequency, *args, **kwargs):
+            calls.append(frequency)
+            return original(frequency, *args, **kwargs)
+
+        monkeypatch.setattr(dram_module, "timings_for_frequency", counting)
+        for _ in range(3):
+            for frequency in device.frequency_bins:
+                device.timings(frequency)
+                device.peak_bandwidth(frequency)
+        assert calls == []
+        device.timings(1.2e9)
+        assert calls == [1.2e9]
