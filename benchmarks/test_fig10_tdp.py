@@ -20,7 +20,7 @@ def test_fig10_tdp_sensitivity(benchmark):
         rounds=1,
         iterations=1,
     )
-    rows = {row["tdp_w"]: row for row in result["rows"]}
+    rows = {row["tdp_w"]: row for row in result.block("rows").records()}
     report(
         "Fig. 10: SysScale benefit vs. TDP (SPEC subset)",
         [

@@ -7,9 +7,10 @@ from repro.experiments import format_table, run_fig3_bandwidth_demand
 
 def test_fig3_bandwidth_demand(benchmark, context):
     result = benchmark(run_fig3_bandwidth_demand, context)
-    report("Fig. 3(b): component bandwidth demand", format_table(result["component_demand"]))
+    demand = result.block("component_demand").records()
+    report("Fig. 3(b): component bandwidth demand", format_table(demand))
 
-    rows = {row["configuration"]: row for row in result["component_demand"]}
+    rows = {row["configuration"]: row for row in demand}
     # HD panel ~17 % of peak, 4K ~70 %, three HD panels ~3x one (Fig. 3(b)).
     assert abs(rows["single_hd"]["fraction_of_peak"] - 0.17) < 0.02
     assert abs(rows["single_4k"]["fraction_of_peak"] - 0.70) < 0.03
@@ -17,7 +18,7 @@ def test_fig3_bandwidth_demand(benchmark, context):
 
     # Fig. 3(a): demand varies over time (astar alternates low/high phases) and
     # across workloads (lbm's demand is consistently high).
-    astar = [point["bandwidth_gbps"] for point in result["timelines"]["473.astar"]]
-    lbm = [point["bandwidth_gbps"] for point in result["timelines"]["470.lbm"]]
+    astar = result.block("timelines/473.astar").y
+    lbm = result.block("timelines/470.lbm").y
     assert max(astar) > 2 * min(astar)
     assert min(lbm) > 8.0

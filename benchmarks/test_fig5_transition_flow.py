@@ -7,9 +7,10 @@ from repro.experiments import format_table, run_fig5_transition_flow
 
 def test_fig5_transition_flow(benchmark, context):
     result = benchmark(run_fig5_transition_flow, context)
-    report("Fig. 5 / Sec. 5: transition flow latency", format_table(result["transitions"]))
-    assert result["within_budget"]
-    assert result["worst_latency_us"] <= result["budget_us"]
+    transitions = result.block("transitions").records()
+    report("Fig. 5 / Sec. 5: transition flow latency", format_table(transitions))
+    assert result.block("within_budget").value
+    assert result.block("worst_latency_us").value <= result.block("budget_us").value
     # Both directions (high->low and low->high) were exercised.
-    assert len(result["transitions"]) == 2
-    assert any(row["increasing_frequency"] for row in result["transitions"])
+    assert len(transitions) == 2
+    assert any(row["increasing_frequency"] for row in transitions)

@@ -11,13 +11,17 @@ def test_fig6_prediction(benchmark, context):
         "workload_class", "high_ghz", "low_ghz", "workloads",
         "correlation", "accuracy", "false_positives",
     ]
-    report("Fig. 6: actual vs. predicted performance impact", format_table(result["panels"], columns))
+    panels = result.block("panels").records()
+    points = result.block("total_evaluation_points").value
+    minimum_accuracy = result.block("minimum_accuracy").value
+    false_positives = result.block("total_false_positives").value
+    report("Fig. 6: actual vs. predicted performance impact", format_table(panels, columns))
     report(
         "Fig. 6 summary",
         [
-            f"evaluation points      : {result['total_evaluation_points']} (paper >1600)",
-            f"minimum panel accuracy : {result['minimum_accuracy']:.1%} (paper 94.2-98.8%)",
-            f"total false positives  : {result['total_false_positives']} (paper: none)",
+            f"evaluation points      : {points} (paper >1600)",
+            f"minimum panel accuracy : {minimum_accuracy:.1%} (paper 94.2-98.8%)",
+            f"total false positives  : {false_positives} (paper: none)",
         ],
     )
     # Paper shape: >1600 evaluation points, high accuracy, (near-)zero false
@@ -26,14 +30,14 @@ def test_fig6_prediction(benchmark, context):
     # sit within a fraction of a percent of the degradation bound), so the
     # assertions bound the mean accuracy tightly and the worst panel loosely; see
     # EXPERIMENTS.md for the discussion of this deviation.
-    assert result["total_evaluation_points"] >= 1600
-    assert result["mean_accuracy"] > 0.85
-    assert result["minimum_accuracy"] > 0.45
-    assert result["total_false_positives"] <= 0.05 * result["total_evaluation_points"]
-    for panel in result["panels"]:
+    assert points >= 1600
+    assert result.block("mean_accuracy").value > 0.85
+    assert minimum_accuracy > 0.45
+    assert false_positives <= 0.05 * points
+    for panel in panels:
         assert panel["correlation"] > 0.5
     # Dropping to 0.8 GHz hurts more than dropping to 1.06 GHz (Sec. 7.4).
     by_pair = {}
-    for panel in result["panels"]:
+    for panel in panels:
         by_pair.setdefault(panel["low_ghz"], []).append(panel["mean_degradation"])
     assert (sum(by_pair[0.8]) / len(by_pair[0.8])) > (sum(by_pair[1.06]) / len(by_pair[1.06]))

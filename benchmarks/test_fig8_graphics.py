@@ -7,15 +7,16 @@ from repro.experiments import format_table, run_fig8_graphics
 
 def test_fig8_graphics(benchmark, context):
     result = benchmark(run_fig8_graphics, context)
+    records = result.block("rows").records()
     columns = ["workload", "memscale_redist", "coscale_redist", "sysscale"]
-    report("Fig. 8: 3DMark performance improvement", format_table(result["rows"], columns))
+    report("Fig. 8: 3DMark performance improvement", format_table(records, columns))
 
-    rows = {row["workload"]: row for row in result["rows"]}
+    rows = {row["workload"]: row for row in records}
     # Paper shape: SysScale improves all three variants by mid-single-digit to
     # high-single-digit percentages (8.9/6.7/8.1 %), several times more than
     # MemScale-R / CoScale-R, which are nearly identical to each other because the
     # CPU already runs at its lowest frequency.
-    for row in result["rows"]:
+    for row in records:
         assert 0.02 < row["sysscale"] < 0.15
         assert row["sysscale"] > 1.5 * row["memscale_redist"]
         assert abs(row["memscale_redist"] - row["coscale_redist"]) < 0.01

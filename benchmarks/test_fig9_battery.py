@@ -7,14 +7,15 @@ from repro.experiments import format_table, run_fig9_battery_life
 
 def test_fig9_battery_life(benchmark, context):
     result = benchmark(run_fig9_battery_life, context)
+    records = result.block("rows").records()
     columns = ["workload", "baseline_power_w", "memscale_redist", "coscale_redist", "sysscale"]
-    report("Fig. 9: battery-life average power reduction", format_table(result["rows"], columns))
+    report("Fig. 9: battery-life average power reduction", format_table(records, columns))
 
-    rows = {row["workload"]: row for row in result["rows"]}
+    rows = {row["workload"]: row for row in records}
     # Paper shape: SysScale reduces average power by roughly 6-11 % (6.4 % web
     # browsing ... 10.7 % video playback), about 5x the prior techniques, and the
     # prior techniques are equal to each other for these workloads.
-    for row in result["rows"]:
+    for row in records:
         assert 0.03 < row["sysscale"] < 0.20
         assert row["sysscale"] > 1.5 * row["memscale_redist"]
         assert abs(row["memscale_redist"] - row["coscale_redist"]) < 0.01

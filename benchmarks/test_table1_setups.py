@@ -7,7 +7,7 @@ from repro.experiments import format_table, run_table1
 
 def test_table1_setups(benchmark, context):
     result = benchmark(run_table1, context)
-    rows = result["rows"]
+    rows = result.block("rows").records()
     report("Table 1: experimental setups", format_table(rows))
     by_component = {row["component"]: row for row in rows}
     assert by_component["DRAM frequency (GHz)"]["baseline"] == 1.6

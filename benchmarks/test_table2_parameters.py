@@ -7,8 +7,9 @@ from repro.experiments import format_table, run_table2
 
 def test_table2_parameters(benchmark, context):
     result = benchmark(run_table2, context)
-    rows = {row["parameter"]: row["value"] for row in result["rows"]}
-    report("Table 2: SoC and memory parameters", format_table(result["rows"]))
+    records = result.block("rows").records()
+    rows = {row["parameter"]: row["value"] for row in records}
+    report("Table 2: SoC and memory parameters", format_table(records))
     assert rows["CPU core base frequency (GHz)"] == 1.2
     assert rows["Graphics engine base frequency (MHz)"] == 300
     assert rows["L3 cache / LLC (MiB)"] == 4

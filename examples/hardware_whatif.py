@@ -28,12 +28,12 @@ def main() -> None:
     ui.out("Sweeping the registered hardware variants ...")
     report = session.run("hwsweep")
     ui.out(f"\n{'variant':18s} {'TDP':>5s} {'dram':>6s} {'energy':>8s} {'perf':>8s}")
-    for row in report["variants"]:
+    for row in report.block("variants").records():
         ui.out(
             f"{row['variant']:18s} {row['tdp_w']:4.1f}W {row['dram']:>6s} "
             f"{row['energy_reduction']:8.1%} {row['perf_impact']:8.1%}"
         )
-    ui.out(f"spread across variants: {report['energy_reduction_spread']:.2%}")
+    ui.out(f"spread across variants: {report.block('energy_reduction_spread').value:.2%}")
 
     # An ad-hoc what-if: a hotter-uncore, lower-TDP die.  derive() deltas are
     # first-class platforms -- hashed, cached, and parallelized like any other.
@@ -42,7 +42,7 @@ def main() -> None:
     )
     ui.out(f"\nAd-hoc variant {hot.label} (hash {hot.content_hash[:12]}...)")
     followup = session.run("hwsweep", variants=("skylake", hot))
-    for row in followup["variants"]:
+    for row in followup.block("variants").records():
         ui.out(
             f"{row['variant']:18s} energy {row['energy_reduction']:6.1%}  "
             f"perf {row['perf_impact']:6.1%}  low-residency {row['low_residency']:6.1%}"

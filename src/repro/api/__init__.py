@@ -8,7 +8,7 @@ notebooks drive experiments in two lines::
 
     session = Session(jobs=8)                      # 8 worker processes, cached
     report = session.run("fig7", quick=True)       # an ExperimentReport
-    print(report["average"]["sysscale"])           # legacy dict access works
+    print(report.block("average/sysscale").value)  # one typed block by key
     print(session.summary())                       # "... 0 simulated ..." warm
 
 Reports are structured (:class:`~repro.experiments.report.ExperimentReport`);

@@ -2,9 +2,9 @@
 
 Each experiment module exposes a ``run_*`` function returning a structured
 :class:`~repro.experiments.report.ExperimentReport` (typed ``Table`` /
-``Series`` / ``Metric`` blocks plus run metadata; the report also supports
-read-only dict access over the pre-report legacy shape), and registers itself
-in the :mod:`repro.experiments.api` registry with an :func:`@experiment
+``Series`` / ``Metric`` blocks plus run metadata, each block read by key with
+``report.block(key)``), and registers itself in the
+:mod:`repro.experiments.api` registry with an :func:`@experiment
 <repro.experiments.api.experiment>` decorator.  The ``python -m repro`` CLI,
 the :class:`repro.api.Session` facade, and the benchmark suite
 (``benchmarks/``) are all generated from / driven by that registry.

@@ -7,7 +7,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.api import experiment
 from repro.experiments.report import ExperimentReport, Table
 from repro.experiments.runner import ExperimentContext, ExperimentRuntime, mean
-from repro.runtime.jobs import PlatformSpec, PolicySpec, SimSpec, SimulationJob, TraceSpec
+from repro.hw import HardwareSpec
+from repro.runtime.jobs import PolicySpec, SimSpec, SimulationJob, TraceSpec
 from repro.sim.engine import SimulationConfig
 from repro.workloads.spec2006 import spec_cpu2006_suite
 
@@ -40,7 +41,7 @@ def run_fig10_tdp_sensitivity(
     traces = spec_cpu2006_suite(duration=workload_duration, subset=subset)
     jobs: List[SimulationJob] = []
     for tdp in tdp_points:
-        platform_spec = PlatformSpec(tdp=tdp)
+        platform_spec = HardwareSpec(tdp=tdp)
         for trace in traces:
             trace_spec = TraceSpec.make(
                 "spec", name=trace.name, duration=workload_duration

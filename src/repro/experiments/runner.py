@@ -1,6 +1,5 @@
 """Shared experiment plumbing: context construction and the runtime bridge.
-(The result types and renderers live in :mod:`repro.experiments.report`;
-``format_table`` is re-exported here for compatibility.)
+(The result types and renderers live in :mod:`repro.experiments.report`.)
 
 Experiments no longer loop ``SimulationEngine.run`` themselves: they build
 declarative jobs (``repro.runtime.jobs``) and submit them through the context's
@@ -29,12 +28,11 @@ from repro.runtime.executor import (
     ProgressCallback,
     SerialExecutor,
 )
-from repro.experiments.report import RunInfo, format_table
+from repro.experiments.report import RunInfo
 from repro.runtime.jobs import (
     DegradationJob,
     DegradationMeasurement,
     Job,
-    PlatformSpec,
     PolicySpec,
     SimSpec,
     SimulationJob,
@@ -52,10 +50,8 @@ class ExperimentRuntime:
     in a :class:`~repro.obs.metrics.MetricsRegistry` owned by the runtime --
     always live, independent of whether ambient ``repro.obs`` telemetry is
     enabled -- and every submission folds its :class:`ExecutionReport` (job
-    counts, batch latency, engine loop totals) into it.  The legacy
-    ``submitted``/``unique``/``executed``/``cache_hits`` integers are now
-    read-only views over the registry, so report run accounting is populated
-    from the registry rather than ad-hoc counters.
+    counts, batch latency, engine loop totals) into it; :meth:`accounting`
+    reads the job counts back as a :class:`RunInfo`.
     """
 
     def __init__(
@@ -69,25 +65,6 @@ class ExperimentRuntime:
         self.cache = cache
         self.progress = progress
         self.metrics = metrics if metrics is not None else MetricsRegistry("runtime")
-
-    # ------------------------------------------------------------------
-    # Registry-backed accounting views
-    # ------------------------------------------------------------------
-    @property
-    def submitted(self) -> int:
-        return int(self.metrics.counter("runtime.jobs_submitted").value)
-
-    @property
-    def unique(self) -> int:
-        return int(self.metrics.counter("runtime.jobs_unique").value)
-
-    @property
-    def executed(self) -> int:
-        return int(self.metrics.counter("runtime.jobs_executed").value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self.metrics.counter("runtime.cache_hits").value)
 
     def run_jobs(self, jobs: Sequence[Job]) -> ExecutionReport:
         """Execute ``jobs`` and fold the report into the metrics registry."""
@@ -113,9 +90,10 @@ class ExperimentRuntime:
 
     def summary(self) -> str:
         """One-line accounting across every submission so far."""
+        info = self.accounting()
         return (
-            f"{self.submitted} job(s) submitted, {self.unique} unique, "
-            f"{self.executed} simulated, {self.cache_hits} cache hit(s)"
+            f"{info.submitted} job(s) submitted, {info.unique} unique, "
+            f"{info.executed} simulated, {info.cache_hits} cache hit(s)"
         )
 
     def close(self) -> None:
@@ -130,11 +108,12 @@ class ExperimentRuntime:
 
     def accounting(self) -> RunInfo:
         """A snapshot of the running totals (see :meth:`RunInfo.since`)."""
+        counter = self.metrics.counter
         return RunInfo(
-            submitted=self.submitted,
-            unique=self.unique,
-            executed=self.executed,
-            cache_hits=self.cache_hits,
+            submitted=int(counter("runtime.jobs_submitted").value),
+            unique=int(counter("runtime.jobs_unique").value),
+            executed=int(counter("runtime.jobs_executed").value),
+            cache_hits=int(counter("runtime.cache_hits").value),
         )
 
 
@@ -157,7 +136,7 @@ class ExperimentContext:
     #: ``build_context`` always sets it; contexts wrapping hand-built
     #: platforms leave it ``None`` and fall back to spec verification.
     hardware: Optional[HardwareSpec] = None
-    _verified_platform_spec: Optional[PlatformSpec] = field(
+    _verified_platform_spec: Optional[HardwareSpec] = field(
         default=None, init=False, repr=False
     )
 
@@ -172,7 +151,7 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     # Job construction
     # ------------------------------------------------------------------
-    def platform_spec(self) -> PlatformSpec:
+    def platform_spec(self) -> HardwareSpec:
         """The declarative hardware description matching this context's platform.
 
         Contexts built by :func:`build_context` carry their
@@ -186,7 +165,7 @@ class ExperimentContext:
         """
         if self.hardware is not None:
             return self.hardware
-        spec = PlatformSpec(
+        spec = HardwareSpec(
             tdp=self.platform.tdp,
             dram=self.platform.dram.technology.value,
             platform_fixed_power=self.platform.soc_power.platform_fixed_power,
@@ -200,7 +179,7 @@ class ExperimentContext:
             if spec.build().describe() != self.platform.describe():
                 raise ValueError(
                     "this context's platform cannot be expressed as a "
-                    "PlatformSpec (customized SoC or DRAM device?); runtime "
+                    "HardwareSpec (customized SoC or DRAM device?); runtime "
                     "jobs would simulate different hardware"
                 )
             self._verified_platform_spec = spec

@@ -10,9 +10,9 @@ The package has three layers:
 * :mod:`repro.hw.build` -- materialization: spec -> SoC -> assembled
   :class:`~repro.sim.platform.Platform`, bit-identical per spec.
 
-``repro.runtime.jobs.PlatformSpec`` is an alias of :class:`HardwareSpec`, so
-job content hashes cover the full hardware description and arbitrary variants
-cache, deduplicate, and parallelize like any other job dimension.
+A job's platform dimension is a :class:`HardwareSpec`, so job content hashes
+cover the full hardware description and arbitrary variants cache, deduplicate,
+and parallelize like any other job dimension.
 """
 
 from repro.hw.build import build_platform_from_spec, soc_from_spec

@@ -165,7 +165,7 @@ def resolve_dram(dram: Union[str, DramSpec, Dict[str, Any], DramDevice]) -> Dram
 class HardwareSpec:
     """A complete evaluation platform as a frozen, hashable value object.
 
-    The constructor keeps the historical ``PlatformSpec`` keyword surface
+    The constructor keeps the historical three-knob keyword surface
     (``tdp``, ``dram``, ``platform_fixed_power``) while exposing every other
     hardware parameter the imperative builders used to hard-code.  ``dram``
     accepts a registered name (``"lpddr3"``, ``"ddr4"``), a :class:`DramSpec`,
@@ -371,7 +371,7 @@ class HardwareSpec:
     def from_dict(cls, data: Dict[str, Any]) -> "HardwareSpec":
         """Rebuild a spec serialized with :meth:`to_dict`.
 
-        Also accepts the legacy three-knob ``PlatformSpec`` payload
+        Also accepts the old three-knob platform payload
         (``{"tdp", "dram", "platform_fixed_power"}``): the constructor defaults
         fill in the Skylake description those knobs used to imply, and string
         ``dram`` names resolve through :func:`resolve_dram`.  Serialized

@@ -37,7 +37,6 @@ from repro.runtime.jobs import (
     DegradationJob,
     DegradationMeasurement,
     Job,
-    PlatformSpec,
     PointSpec,
     PolicySpec,
     SimSpec,
@@ -62,7 +61,6 @@ __all__ = [
     "Job",
     "JobOutcome",
     "ParallelExecutor",
-    "PlatformSpec",
     "PointSpec",
     "PolicySpec",
     "ProgressUpdate",

@@ -22,7 +22,6 @@ from repro import config
 from repro.hw import HardwareSpec, resolve_hardware
 from repro.runtime.jobs import (
     Job,
-    PlatformSpec,
     PolicySpec,
     SimSpec,
     SimulationJob,

@@ -39,11 +39,8 @@ from typing import Any, Callable, ClassVar, Dict, List, Optional, Tuple, Union
 from repro import config
 from repro.obs import state as obs_state
 from repro.obs.spans import span as _span
-# Re-exported for compatibility: these helpers historically lived here and
-# callers still import them from this module.
-from repro.hashing import canonical_json, content_hash
+from repro.hashing import content_hash
 from repro.params import (
-    ParamValue,
     Params,
     normalize_params as _normalize_params,
     params_to_jsonable as _params_to_jsonable,
@@ -289,26 +286,16 @@ class PolicySpec:
 # Platform and engine specifications
 # ---------------------------------------------------------------------------
 
-#: The platform dimension of a job IS the full hardware description: jobs hash
-#: (and cache, and parallelize) over every field of the
-#: :class:`~repro.hw.spec.HardwareSpec`, so arbitrary hardware variants behave
-#: like any other job dimension.  The historical three-knob constructor
-#: (``PlatformSpec(tdp=..., dram="lpddr3", platform_fixed_power=...)``) still
-#: works: the remaining fields default to the Skylake description those knobs
-#: used to imply, and ``from_dict`` accepts the legacy compact payload.
-PlatformSpec = HardwareSpec
-
-
 #: Process-local platform memo.  Within one worker, jobs sharing a platform
 #: spec reuse the same platform object -- safe because jobs run serially inside
 #: a worker and ``SimulationEngine.run`` restores boot MRC state on entry.
 #: LRU-bounded to :data:`MEMO_MAX_ENTRIES`: a sweep over arbitrarily many
 #: distinct platform specs (TDP grids, fuzzed campaigns) keeps only the most
 #: recently used platforms alive instead of growing without limit.
-_PLATFORM_MEMO: "OrderedDict[PlatformSpec, Platform]" = OrderedDict()
+_PLATFORM_MEMO: "OrderedDict[HardwareSpec, Platform]" = OrderedDict()
 
 
-def platform_for(spec: PlatformSpec) -> Platform:
+def platform_for(spec: HardwareSpec) -> Platform:
     """The memoized platform for ``spec`` in this process (LRU-bounded)."""
     platform = _PLATFORM_MEMO.get(spec)
     if platform is None:
@@ -443,7 +430,7 @@ class SimulationJob:
 
     trace: TraceSpec
     policy: PolicySpec
-    platform: PlatformSpec = PlatformSpec()
+    platform: HardwareSpec = HardwareSpec()
     sim: SimSpec = SimSpec()
     peripherals: Optional[str] = None
 
@@ -487,7 +474,7 @@ class DegradationJob:
     trace: TraceSpec
     high: PointSpec
     low: PointSpec
-    platform: PlatformSpec = PlatformSpec()
+    platform: HardwareSpec = HardwareSpec()
 
     @property
     def label(self) -> str:
@@ -526,7 +513,7 @@ def job_from_dict(data: Dict[str, Any]) -> Job:
         return SimulationJob(
             trace=TraceSpec.from_dict(data["trace"]),
             policy=PolicySpec.from_dict(data["policy"]),
-            platform=PlatformSpec.from_dict(data["platform"]),
+            platform=HardwareSpec.from_dict(data["platform"]),
             sim=SimSpec.from_dict(data["sim"]),
             peripherals=data.get("peripherals"),
         )
@@ -535,7 +522,7 @@ def job_from_dict(data: Dict[str, Any]) -> Job:
             trace=TraceSpec.from_dict(data["trace"]),
             high=PointSpec.from_dict(data["high"]),
             low=PointSpec.from_dict(data["low"]),
-            platform=PlatformSpec.from_dict(data["platform"]),
+            platform=HardwareSpec.from_dict(data["platform"]),
         )
     raise KeyError(f"unknown job kind {kind!r}; known: {sorted(JOB_KINDS)}")
 

@@ -80,16 +80,17 @@ class TestRuntimeDeterminism:
         cache_dir = tmp_path / "cache"
         cold_context = self._context(cache=ResultCache(cache_dir))
         cold = run_fig7_spec(cold_context, subset=SUBSET)
-        assert cold_context.runtime.executed > 0
-        assert cold_context.runtime.cache_hits == 0
+        cold_info = cold_context.runtime.accounting()
+        assert cold_info.executed > 0
+        assert cold_info.cache_hits == 0
 
         warm_context = self._context(cache=ResultCache(cache_dir))
         warm = run_fig7_spec(warm_context, subset=SUBSET)
-        assert warm_context.runtime.executed == 0
-        assert warm_context.runtime.cache_hits == warm_context.runtime.unique
+        warm_info = warm_context.runtime.accounting()
+        assert warm_info.executed == 0
+        assert warm_info.cache_hits == warm_info.unique
 
-        assert warm["rows"] == cold["rows"]
-        assert warm["average"] == cold["average"]
+        assert warm.blocks == cold.blocks
 
     def test_parallel_equals_serial_for_campaign(self):
         """ParallelExecutor results are bit-identical to SerialExecutor results
@@ -119,4 +120,4 @@ class TestRuntimeDeterminism:
         baseline = engine.run(trace, FixedBaselinePolicy())
         sysscale = engine.run(trace, SysScaleController(platform=platform))
         expected = sysscale.performance_improvement_over(baseline)
-        assert figure["rows"][0]["sysscale"] == pytest.approx(expected, abs=0.0)
+        assert figure.block("rows").records()[0]["sysscale"] == pytest.approx(expected, abs=0.0)

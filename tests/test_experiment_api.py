@@ -98,14 +98,27 @@ class TestReportRoundTrip:
             assert recovered == report
             assert recovered.to_dict() == report.to_dict()
 
-    def test_legacy_mapping_view(self):
+    def test_blocks_are_read_by_key(self):
         report = _demo_report()
-        assert report["rows"][0] == {"name": "a", "value": 1.5}
-        assert report["average"]["value"] == 1.75
-        assert report["timeline"][1] == {"t": 1.0, "bw": 4.0}
-        assert "rows" in report
-        assert set(report.keys()) == {"experiment", "rows", "timeline", "average"}
-        assert report["experiment"] == "demo"
+        assert report.block("rows").records()[0] == {"name": "a", "value": 1.5}
+        assert report.block("average/value").value == 1.75
+        assert report.block("timeline").points()[1] == {"t": 1.0, "bw": 4.0}
+        assert report.experiment == "demo"
+        with pytest.raises(KeyError, match="no block 'average'"):
+            report.block("average")
+        with pytest.raises(TypeError):
+            report["rows"]
+
+    def test_block_keys_are_flat_names(self):
+        """A ``/`` in a key is part of the name: a key and its prefix are
+        distinct blocks, and both survive a round trip."""
+        report = ExperimentReport(
+            experiment="demo",
+            blocks=(Metric("avg/s", 1.0), Metric("avg", 2.0)),
+        )
+        assert report.block("avg/s").value == 1.0
+        assert report.block("avg").value == 2.0
+        assert ExperimentReport.from_dict(report.to_dict()) == report
 
     def test_table_units_order_is_canonical(self):
         """Unit order never breaks the exact round trip: the constructor
@@ -296,14 +309,15 @@ class TestSession:
         )
         first = session.run("fig7", quick=True)
         assert isinstance(first, ExperimentReport)
-        assert session.runtime.executed > 0
+        assert session.runtime.accounting().executed > 0
 
         warm = Session(
             cache_dir=str(tmp_path / "cache"), duration=0.05, max_time=0.05
         )
         second = warm.run("fig7", quick=True)
-        assert warm.runtime.executed == 0
-        assert warm.runtime.cache_hits == warm.runtime.unique
+        warm_info = warm.runtime.accounting()
+        assert warm_info.executed == 0
+        assert warm_info.cache_hits == warm_info.unique
         assert second.results_dict() == first.results_dict()
 
     def test_run_accepts_declared_params_only(self, tmp_path):
@@ -311,7 +325,7 @@ class TestSession:
             cache_dir=str(tmp_path / "cache"), duration=0.05, max_time=0.05
         )
         report = session.run("fig7", subset=("470.lbm",))
-        assert [row["workload"] for row in report["rows"]] == ["470.lbm"]
+        assert [row["workload"] for row in report.block("rows").records()] == ["470.lbm"]
         with pytest.raises(TypeError, match="does not accept"):
             session.run("fig7", bogus=1)
 
@@ -323,7 +337,7 @@ class TestSession:
         sysscale = session.simulate("spec", "sysscale", name="470.lbm", duration=0.05)
         assert baseline.execution_time > 0
         assert sysscale.energy.total > 0
-        assert session.runtime.submitted == 2
+        assert session.runtime.accounting().submitted == 2
         assert "2 job(s) submitted" in session.summary()
 
     def test_specs_listing(self):

@@ -91,5 +91,3 @@ def test_entry_functions_run_through_the_runtime(module_name, tiny_context):
         result = entry(**kwargs)
         assert isinstance(result, ExperimentReport), entry.__name__
         assert result.blocks, entry.__name__
-        # The legacy mapping view over the report stays non-empty too.
-        assert dict(result.items()), entry.__name__

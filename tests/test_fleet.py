@@ -28,9 +28,9 @@ from repro.fleet.queue import (
 )
 from repro.fleet.service import FleetPaths, resolve_campaign
 from repro.hashing import content_hash
+from repro.hw import HardwareSpec
 from repro.runtime import (
     Campaign,
-    PlatformSpec,
     PolicySpec,
     SerialExecutor,
     SimSpec,
@@ -49,7 +49,7 @@ def _tiny_job(name="470.lbm", policy="baseline", tdp=4.5):
     return SimulationJob(
         trace=TraceSpec.make("spec", name=name, duration=0.05),
         policy=PolicySpec.make(policy),
-        platform=PlatformSpec(tdp=tdp),
+        platform=HardwareSpec(tdp=tdp),
         sim=TINY_SIM,
     )
 

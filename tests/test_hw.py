@@ -21,7 +21,6 @@ from repro.memory.dram import ddr4_device, lpddr3_device
 from repro.runtime.cache import ResultCache
 from repro.runtime.executor import SerialExecutor
 from repro.runtime.jobs import (
-    PlatformSpec,
     PolicySpec,
     SimSpec,
     SimulationJob,
@@ -62,7 +61,7 @@ class TestSerialization:
         assert DramSpec.from_dict(json.loads(json.dumps(spec.to_dict()))) == spec
 
     def test_legacy_three_knob_payload_decodes(self):
-        """Old PlatformSpec payloads map onto the default Skylake description."""
+        """Old three-knob platform payloads map onto the default Skylake description."""
         spec = HardwareSpec.from_dict(
             {"tdp": 7.0, "dram": "ddr4", "platform_fixed_power": 0.25}
         )
@@ -210,9 +209,6 @@ class TestSeedParity:
 
 
 class TestRuntimeIntegration:
-    def test_platform_spec_is_hardware_spec(self):
-        assert PlatformSpec is HardwareSpec
-
     def test_job_hash_covers_full_hardware_description(self):
         """Any hardware field -- not just the legacy three knobs -- changes
         the job content hash, so variants cache as distinct jobs."""
@@ -374,7 +370,7 @@ class TestHwSweep:
             variants=("skylake", "skylake-lowleak"),
             subset=("470.lbm", "416.gamess"),
         )
-        variants = {row["variant"] for row in report["variants"]}
+        variants = {row["variant"] for row in report.block("variants").records()}
         assert variants == {"skylake", "skylake-lowleak"}
 
     def test_hw_variants_campaign_registered(self):
@@ -397,7 +393,7 @@ class TestHwSweep:
             duration=0.05,
         )
         report = session.run("hwsweep", quick=True, subset=("470.lbm",))
-        variants = [row["variant"] for row in report["variants"]]
+        variants = [row["variant"] for row in report.block("variants").records()]
         # The derived context hardware leads the axis (1 + the 3 quick
         # defaults); both specs named "skylake" disambiguate by hash prefix.
         assert len(variants) == 4

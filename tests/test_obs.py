@@ -18,11 +18,11 @@ from repro.obs import (
 )
 from repro.obs import state as obs_state
 from repro.obs.metrics import NULL_INSTRUMENT
+from repro.hw import HardwareSpec
 from repro.runtime.cache import ResultCache
 from repro.runtime.cli import main
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.jobs import (
-    PlatformSpec,
     PolicySpec,
     SimSpec,
     SimulationJob,
@@ -47,7 +47,7 @@ def _tiny_job(name="470.lbm", policy="baseline", max_time=0.05):
     return SimulationJob(
         trace=TraceSpec.make("spec", name=name, duration=0.05),
         policy=PolicySpec.make(policy),
-        platform=PlatformSpec(tdp=4.5),
+        platform=HardwareSpec(tdp=4.5),
         sim=SimSpec(max_simulated_time=max_time),
     )
 
@@ -323,13 +323,14 @@ class TestStatsSurfacing:
 
 
 class TestRuntimeAccounting:
-    def test_properties_are_registry_backed(self):
+    def test_accounting_is_registry_backed(self):
         runtime = ExperimentRuntime()
         report = runtime.run_jobs([_tiny_job(), _tiny_job()])
         assert report.executed == 1
-        assert runtime.submitted == 2
-        assert runtime.unique == 1
-        assert runtime.executed == 1
+        info = runtime.accounting()
+        assert info.submitted == 2
+        assert info.unique == 1
+        assert info.executed == 1
         snap = runtime.metrics.snapshot()
         assert snap["counters"]["runtime.jobs_submitted"] == 2
         assert snap["counters"]["runtime.engine_runs"] == 1

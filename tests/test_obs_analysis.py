@@ -25,11 +25,11 @@ from repro.obs.analysis import (
     render_diff_text,
     summarize_timeseries,
 )
+from repro.hw import HardwareSpec
 from repro.runtime.cache import ResultCache
 from repro.runtime.cli import main
 from repro.runtime.executor import ParallelExecutor, SerialExecutor
 from repro.runtime.jobs import (
-    PlatformSpec,
     PolicySpec,
     SimSpec,
     SimulationJob,
@@ -49,7 +49,7 @@ def _tiny_job(name="470.lbm", policy="baseline", max_time=0.05):
     return SimulationJob(
         trace=TraceSpec.make("spec", name=name, duration=0.05),
         policy=PolicySpec.make(policy),
-        platform=PlatformSpec(tdp=4.5),
+        platform=HardwareSpec(tdp=4.5),
         sim=SimSpec(max_simulated_time=max_time),
     )
 

@@ -5,11 +5,11 @@ import json
 import pytest
 
 from repro import config
+from repro.hw import HardwareSpec
 from repro.runtime import (
     Campaign,
     DegradationJob,
     ParallelExecutor,
-    PlatformSpec,
     PointSpec,
     PolicySpec,
     ResultCache,
@@ -33,7 +33,7 @@ def _tiny_job(name="470.lbm", policy="baseline", tdp=4.5):
     return SimulationJob(
         trace=TraceSpec.make("spec", name=name, duration=0.05),
         policy=PolicySpec.make(policy),
-        platform=PlatformSpec(tdp=tdp),
+        platform=HardwareSpec(tdp=tdp),
         sim=TINY_SIM,
     )
 
@@ -411,7 +411,7 @@ class TestPlatformMemoBound:
         clear_memos()
         try:
             for index in range(3 * MEMO_MAX_ENTRIES):
-                spec = PlatformSpec(tdp=3.5 + 0.1 * index)
+                spec = HardwareSpec(tdp=3.5 + 0.1 * index)
                 platform = platform_for(spec)
                 # Populate the calibration memo too: its entries must be
                 # evicted alongside their platform.
@@ -427,7 +427,7 @@ class TestPlatformMemoBound:
 
         clear_memos()
         try:
-            spec = PlatformSpec(tdp=4.5)
+            spec = HardwareSpec(tdp=4.5)
             assert platform_for(spec) is platform_for(spec)
         finally:
             clear_memos()
@@ -438,11 +438,11 @@ class TestPlatformMemoBound:
 
         clear_memos()
         try:
-            first = platform_for(PlatformSpec(tdp=4.5))
+            first = platform_for(HardwareSpec(tdp=4.5))
             described = first.describe()
             for index in range(MEMO_MAX_ENTRIES + 1):  # evict the first entry
-                platform_for(PlatformSpec(tdp=5.0 + 0.1 * index))
-            rebuilt = platform_for(PlatformSpec(tdp=4.5))
+                platform_for(HardwareSpec(tdp=5.0 + 0.1 * index))
+            rebuilt = platform_for(HardwareSpec(tdp=4.5))
             assert rebuilt is not first
             assert rebuilt.describe() == described
         finally:
