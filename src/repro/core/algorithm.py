@@ -13,7 +13,7 @@ CPU-core or graphics frequencies (Sec. 4.3-4.4).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import config
 from repro.core.demand import DemandPredictor, DemandPrediction
@@ -68,35 +68,44 @@ class HolisticPowerAlgorithm:
     predictor: DemandPredictor
     evaluation_interval: float = config.EVALUATION_INTERVAL
     io_memory_budgets: Dict[OperatingPoint, float] = field(init=False)
-    _current: Optional[OperatingPoint] = field(default=None, init=False)
+    _points: Tuple[OperatingPoint, ...] = field(init=False, repr=False)
+    _budget_rows: Tuple[Tuple[float, float], ...] = field(init=False, repr=False)
+    _index: Optional[int] = field(default=None, init=False)
     _decisions: List[AlgorithmDecision] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         if self.evaluation_interval <= 0:
             raise ValueError("evaluation interval must be positive")
-        # Each point's provisioned IO+memory power is a constant of (platform,
-        # point): build the table once rather than re-running the memory-power
-        # model on every 30 ms decision.
-        self.io_memory_budgets = {
-            point: point.provisioned_io_memory_power(self.platform)
-            for point in self.operating_points
-        }
+        # Each point's provisioned IO+memory power, and the compute budget the
+        # PBM grants beside it, are constants of (platform, point): build them
+        # once rather than re-running the models on every 30 ms decision.
+        # ``decide`` tracks the current point by its index in the table, so the
+        # adjacent points are index arithmetic and the budgets one row read.
+        self._points = tuple(self.operating_points)
+        budgets = [point.provisioned_io_memory_power(self.platform) for point in self._points]
+        self.io_memory_budgets = dict(zip(self._points, budgets))
+        self._budget_rows = tuple(
+            (budget, self.platform.pbm.budgets(budget).compute) for budget in budgets
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> OperatingPoint:
-        """Start a new run at the high-performance point (the boot default)."""
-        self._current = self.operating_points.high
+        """Start a new run at the high-performance point (the boot default).
+
+        Clears the decisions and the predictor's counts, so every statistic
+        describes the current run only.
+        """
+        self._index = 0
         self._decisions = []
-        return self._current
+        self.predictor.reset_statistics()
+        return self._points[0]
 
     @property
     def current_point(self) -> OperatingPoint:
         """The operating point currently in force."""
-        if self._current is None:
-            return self.operating_points.high
-        return self._current
+        return self._points[self._index or 0]
 
     @property
     def decisions(self) -> List[AlgorithmDecision]:
@@ -112,26 +121,24 @@ class HolisticPowerAlgorithm:
         static_info: Optional[StaticDemandInfo] = None,
     ) -> AlgorithmDecision:
         """Run one evaluation: move towards high or low based on the five conditions."""
-        if self._current is None:
+        if self._index is None:
             self.reset()
         prediction = self.predictor.predict(counters, static_info)
 
-        if prediction.requires_high_point:
-            target = self.operating_points.next_higher(self._current)
+        index = self._index
+        if prediction.low_point_safe:
+            target_index = min(index + 1, len(self._points) - 1)
         else:
-            target = self.operating_points.next_lower(self._current)
+            target_index = max(index - 1, 0)
+        self._index = target_index
 
-        changed = target is not self._current
-        self._current = target
-
-        io_memory_budget = self.io_memory_budgets[target]
-        budgets = self.platform.pbm.budgets(io_memory_budget)
+        io_memory_budget, compute_budget = self._budget_rows[target_index]
         decision = AlgorithmDecision(
-            operating_point=target,
+            operating_point=self._points[target_index],
             prediction=prediction,
-            changed=changed,
+            changed=target_index != index,
             io_memory_budget=io_memory_budget,
-            compute_budget=budgets.compute,
+            compute_budget=compute_budget,
         )
         self._decisions.append(decision)
         return decision

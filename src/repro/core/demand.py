@@ -24,11 +24,11 @@ threshold margin is what provides that one-sidedness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro import config
 from repro.core.thresholds import CounterThresholds
-from repro.perf.counters import CounterName, CounterSample
+from repro.perf.counters import COUNTER_NAMES, CounterName, CounterSample
 from repro.sim.policy import StaticDemandInfo
 
 
@@ -82,6 +82,13 @@ class DemandPrediction:
         }
 
 
+#: ``(key, counter)`` pairs for :attr:`DemandPrediction.counter_values`, so a
+#: prediction does not format the four counter names again.
+_COUNTER_KEYS: Tuple[Tuple[str, CounterName], ...] = tuple(
+    (str(name), name) for name in COUNTER_NAMES
+)
+
+
 @dataclass
 class DemandPredictor:
     """Combines static and dynamic demand estimation into one prediction.
@@ -93,12 +100,24 @@ class DemandPredictor:
     3. the CPU cores are bandwidth limited (``LLC_Occupancy_Tracer`` > Core_THR);
     4. memory latency is a bottleneck (``LLC_STALLS`` > LAT_THR);
     5. IO latency is a bottleneck (``IO_RPQ`` > IO_THR).
+
+    Like the firmware, a prediction is four counter compares against
+    thresholds unpacked once at construction (``CounterThresholds`` is
+    frozen).  Condition 1 depends only on the peripheral configuration, so it
+    is re-evaluated only when the configuration's *content* changes.
     """
 
     thresholds: CounterThresholds
     static_estimator: StaticDemandEstimator = field(default_factory=StaticDemandEstimator)
     prediction_count: int = field(default=0, init=False)
     low_predictions: int = field(default=0, init=False)
+    _counter_limits: Tuple[float, float, float, float] = field(init=False, repr=False)
+    _static_info: Optional[StaticDemandInfo] = field(default=None, init=False, repr=False)
+    _static_bandwidth: float = field(default=0.0, init=False, repr=False)
+    _static_exceeded: bool = field(default=False, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._counter_limits = tuple(self.thresholds[name] for name in COUNTER_NAMES)
 
     def predict(
         self,
@@ -106,20 +125,25 @@ class DemandPredictor:
         static_info: Optional[StaticDemandInfo] = None,
     ) -> DemandPrediction:
         """Predict whether the low operating point is safe for the next interval."""
-        static_estimate = self.static_estimator.estimate(
-            static_info if static_info is not None else StaticDemandInfo()
-        )
+        if static_info is None:
+            static_info = StaticDemandInfo()
+        if static_info != self._static_info:
+            bandwidth = self.static_estimator.estimate(static_info).bandwidth_demand
+            self._static_info = static_info
+            self._static_bandwidth = bandwidth
+            self._static_exceeded = bandwidth > self.thresholds.static_bandwidth_threshold
+
+        values = counters.values
+        counter_values = {key: values[name] for key, name in _COUNTER_KEYS}
+        # Both tuples are in COUNTER_NAMES order.
+        gfx, occupancy, stalls, io_rpq = counter_values.values()
+        gfx_limit, occupancy_limit, stalls_limit, io_limit = self._counter_limits
         conditions = {
-            "static_bandwidth": static_estimate.bandwidth_demand
-            > self.thresholds.static_bandwidth_threshold,
-            "gfx_bandwidth_limited": counters[CounterName.GFX_LLC_MISSES]
-            > self.thresholds[CounterName.GFX_LLC_MISSES],
-            "cpu_bandwidth_limited": counters[CounterName.LLC_OCCUPANCY_TRACER]
-            > self.thresholds[CounterName.LLC_OCCUPANCY_TRACER],
-            "memory_latency_bound": counters[CounterName.LLC_STALLS]
-            > self.thresholds[CounterName.LLC_STALLS],
-            "io_latency_bound": counters[CounterName.IO_RPQ]
-            > self.thresholds[CounterName.IO_RPQ],
+            "static_bandwidth": self._static_exceeded,
+            "gfx_bandwidth_limited": gfx > gfx_limit,
+            "cpu_bandwidth_limited": occupancy > occupancy_limit,
+            "memory_latency_bound": stalls > stalls_limit,
+            "io_latency_bound": io_rpq > io_limit,
         }
         low_point_safe = not any(conditions.values())
         self.prediction_count += 1
@@ -128,9 +152,14 @@ class DemandPredictor:
         return DemandPrediction(
             low_point_safe=low_point_safe,
             triggered_conditions=conditions,
-            static_bandwidth_demand=static_estimate.bandwidth_demand,
-            counter_values={str(name): counters[name] for name in CounterName},
+            static_bandwidth_demand=self._static_bandwidth,
+            counter_values=counter_values,
         )
+
+    def reset_statistics(self) -> None:
+        """Zero the prediction counts (a new run starts)."""
+        self.prediction_count = 0
+        self.low_predictions = 0
 
     @property
     def low_prediction_fraction(self) -> float:

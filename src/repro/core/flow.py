@@ -228,8 +228,12 @@ class TransitionFlow:
 
     @property
     def history(self) -> List[TransitionReport]:
-        """Reports of every transition executed so far."""
+        """Reports of every transition executed since the last ``clear_history``."""
         return list(self._history)
+
+    def clear_history(self) -> None:
+        """Forget the reports of earlier transitions (a new run starts)."""
+        self._history = []
 
     @property
     def worst_observed_latency(self) -> float:

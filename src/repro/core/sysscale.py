@@ -93,7 +93,7 @@ class SysScaleController(Policy):
     algorithm: HolisticPowerAlgorithm = field(init=False)
     flow: TransitionFlow = field(init=False)
     _current_point: OperatingPoint = field(init=False)
-    _transition_reports: List[TransitionReport] = field(default_factory=list, init=False)
+    _steady_action: Optional[PolicyAction] = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.operating_points is None:
@@ -131,19 +131,32 @@ class SysScaleController(Policy):
                 "SysScaleController is bound to the platform it was built on; "
                 "build a new controller to run on another platform"
             )
+        self.flow.clear_history()
         self._current_point = self.algorithm.reset()
-        self._transition_reports = []
-        return self._action_for(self._current_point)
+        self._steady_action = self._action_for(self._current_point)
+        return self._steady_action
 
     def decide(self, observation: PolicyObservation) -> PolicyAction:
-        """Run the holistic algorithm on the interval-averaged counters."""
+        """Run the holistic algorithm on the interval-averaged counters.
+
+        A decision that keeps the point returns the action built for it
+        earlier.  That action's ``transition_latency`` comes from
+        ``TransitionFlow.estimate_latency``, which reads only the rail
+        voltages and the interconnect's occupancy and clock; within a run only
+        ``TransitionFlow.execute`` changes those (``Platform.reset_to_boot``
+        runs before ``reset``), so the action stays valid until the next
+        transition or ``reset``, which drop or rebuild it.
+        """
         decision = self.algorithm.decide(observation.counters, observation.static_demand)
         target = decision.operating_point
-        if target is not self._current_point:
-            latency = self._execute_transition(self._current_point, target)
-            self._current_point = target
-            return self._action_for(target, transition_latency=latency)
-        return self._action_for(target)
+        if target is self._current_point:
+            if self._steady_action is None:
+                self._steady_action = self._action_for(target)
+            return self._steady_action
+        latency = self._execute_transition(self._current_point, target)
+        self._current_point = target
+        self._steady_action = None
+        return self._action_for(target, transition_latency=latency)
 
     def notify_transition(self, previous: PolicyAction, new: PolicyAction) -> None:
         """The engine applied the transition; nothing further to do."""
@@ -157,9 +170,7 @@ class SysScaleController(Policy):
         """Run the Fig. 5 flow (or charge the nominal budget) and return the latency."""
         if not self.use_flow_latency:
             return config.TRANSITION_TOTAL_LATENCY_BUDGET
-        report = self.flow.execute(source, target)
-        self._transition_reports.append(report)
-        return report.total_latency
+        return self.flow.execute(source, target).total_latency
 
     def _action_for(
         self, point: OperatingPoint, transition_latency: Optional[float] = None
@@ -178,7 +189,7 @@ class SysScaleController(Policy):
     @property
     def transition_reports(self) -> List[TransitionReport]:
         """Reports of every executed Fig. 5 flow transition in the current run."""
-        return list(self._transition_reports)
+        return self.flow.history
 
     @property
     def current_operating_point(self) -> OperatingPoint:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro import config
 from repro.memory.mrc import MrcRegisterFile
@@ -40,6 +40,10 @@ class CounterName(str, enum.Enum):
         return self.value
 
 
+#: The four counters in declaration order; iterating a tuple skips the Enum
+#: class's iteration machinery on the per-sample path.
+COUNTER_NAMES: Tuple[CounterName, ...] = tuple(CounterName)
+
 #: Cache-line size used to convert bandwidth into miss counts.
 CACHE_LINE_BYTES = 64
 
@@ -52,7 +56,7 @@ class CounterSample:
     interval: float = config.COUNTER_SAMPLING_INTERVAL
 
     def __post_init__(self) -> None:
-        for name in CounterName:
+        for name in COUNTER_NAMES:
             if name not in self.values:
                 raise ValueError(f"counter sample is missing {name}")
             if self.values[name] < 0:
@@ -79,18 +83,13 @@ class CounterSample:
             raise ValueError("cannot average zero samples")
         averaged = {
             name: sum(sample[name] for sample in samples) / len(samples)
-            for name in CounterName
+            for name in COUNTER_NAMES
         }
         return CounterSample(values=averaged, interval=samples[0].interval)
 
     @staticmethod
-    def from_sums(
-        names: Sequence[CounterName],
-        sums: Tuple[float, ...],
-        count: int,
-        interval: float,
-    ) -> "CounterSample":
-        """Average from per-counter running sums over ``count`` samples.
+    def from_sums(sums: Tuple[float, ...], count: int, interval: float) -> "CounterSample":
+        """Average from per-counter running sums (in :data:`COUNTER_NAMES` order).
 
         The segment-stepping engine accumulates one running sum per counter
         instead of a per-interval ``List[CounterSample]``; because the sums
@@ -101,7 +100,7 @@ class CounterSample:
         if count <= 0:
             raise ValueError("cannot average zero samples")
         return CounterSample(
-            values={name: total / count for name, total in zip(names, sums)},
+            values={name: total / count for name, total in zip(COUNTER_NAMES, sums)},
             interval=interval,
         )
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import config
-from repro.perf.counters import CounterName, CounterSample
+from repro.perf.counters import COUNTER_NAMES, CounterSample
 from repro.power.budget import ComputePlan
 from repro.power.cstates import CState, IDLE_PACKAGE_POWER
 from repro.power.models import ActivityVector
@@ -279,7 +279,6 @@ class SimulationEngine:
 
         memo: Dict[tuple, _SegmentModel] = {}
         phase_keys: Dict[int, tuple] = {}
-        counter_names = tuple(CounterName)
 
         # Locals mirror the _RunState accumulators; every addition below
         # replays the exact sequence of float additions the reference loop
@@ -375,7 +374,6 @@ class SimulationEngine:
                 run.evaluation_count += 1
                 observation = PolicyObservation(
                     counters=CounterSample.from_sums(
-                        counter_names,
                         (sum_0, sum_1, sum_2, sum_3),
                         samples,
                         sample_interval,
@@ -476,7 +474,7 @@ class SimulationEngine:
             activity=activity,
             work_tick=work_tick,
             energy_ticks=energy_ticks,
-            counter_values=tuple(sample[name] for name in CounterName),
+            counter_values=tuple(sample[name] for name in COUNTER_NAMES),
             sample_interval=sample.interval,
             bandwidth=slowdown.achieved_bandwidth,
             frequency_ticks=(

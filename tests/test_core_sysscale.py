@@ -1,6 +1,10 @@
 """Tests for SysScale's core components: operating points, thresholds, demand
 prediction, holistic algorithm, transition flow, and the controller."""
 
+from collections import Counter
+from dataclasses import fields
+from types import SimpleNamespace
+
 import pytest
 
 from repro import config
@@ -19,9 +23,11 @@ from repro.core.thresholds import ThresholdCalibrator
 from repro.hw import get_hardware
 from repro.memory.dram import DramDevice
 from repro.perf.counters import CounterName, CounterSample
+from repro.power.budget import PowerBudgetManager
+from repro.scenarios.registry import SCENARIOS
 from repro.sim.engine import SimulationEngine
 from repro.sim.platform import Platform, build_platform
-from repro.sim.policy import StaticDemandInfo
+from repro.sim.policy import PolicyAction, StaticDemandInfo
 from repro.workloads.batterylife import battery_life_workload
 from repro.workloads.io_devices import STANDARD_CONFIGURATIONS
 from repro.workloads.microbenchmarks import compute_only_microbenchmark
@@ -149,6 +155,18 @@ class TestDemandPredictor:
         predictor = DemandPredictor(thresholds=thresholds)
         hd = StaticDemandInfo(peripherals=STANDARD_CONFIGURATIONS["single_hd"])
         assert predictor.predict(_sample(), hd).low_point_safe
+
+    def test_static_condition_follows_configuration_content(self, thresholds):
+        predictor = DemandPredictor(thresholds=thresholds)
+        hd = STANDARD_CONFIGURATIONS["single_hd"]
+        heavy = STANDARD_CONFIGURATIONS["single_4k"]
+        for peripherals, safe in ((hd, True), (heavy, False), (hd, True), (heavy, False)):
+            static = StaticDemandInfo(peripherals=peripherals)
+            prediction = predictor.predict(_sample(), static)
+            assert prediction.low_point_safe is safe
+            assert prediction.static_bandwidth_demand == static.bandwidth_demand
+        default = predictor.predict(_sample())
+        assert default.static_bandwidth_demand == StaticDemandInfo().bandwidth_demand
 
     def test_prediction_statistics(self, thresholds):
         predictor = DemandPredictor(thresholds=thresholds)
@@ -329,43 +347,162 @@ class TestDecisionTables:
 class TestDecisionPathWorkCounters:
     """Decisions read tables: model calls must not scale with decision count."""
 
+    #: The calls counted during a run, by key.
+    COUNTED = {
+        "budget": (Platform, "worst_case_io_memory_power"),
+        "timings": (DramDevice, "timings"),
+        "estimate_latency": (TransitionFlow, "estimate_latency"),
+        "pbm_budgets": (PowerBudgetManager, "budgets"),
+        "index_of": (OperatingPointTable, "index_of"),
+    }
+
     def _counted_run(self, monkeypatch, platform, operating_points, thresholds, cycles):
-        counts = {"budget": 0, "timings": 0}
-        worst_case = Platform.worst_case_io_memory_power
-        timings = DramDevice.timings
+        """Run a battery-life trace, counting calls in total, after the
+        controller is built, and from inside ``SysScaleController.decide``."""
+        total, in_decide = Counter(), Counter()
+        deciding = []
 
-        def counting_worst_case(self, *args, **kwargs):
-            counts["budget"] += 1
-            return worst_case(self, *args, **kwargs)
+        def counting(key, original):
+            def wrapper(*args, **kwargs):
+                total[key] += 1
+                if deciding:
+                    in_decide[key] += 1
+                return original(*args, **kwargs)
 
-        def counting_timings(self, *args, **kwargs):
-            counts["timings"] += 1
-            return timings(self, *args, **kwargs)
+            return wrapper
+
+        decide = SysScaleController.decide
+
+        def counting_decide(self, observation):
+            deciding.append(True)
+            try:
+                return decide(self, observation)
+            finally:
+                deciding.pop()
 
         with monkeypatch.context() as patch:
-            patch.setattr(Platform, "worst_case_io_memory_power", counting_worst_case)
-            patch.setattr(DramDevice, "timings", counting_timings)
+            for key, (owner, attr) in self.COUNTED.items():
+                patch.setattr(owner, attr, counting(key, getattr(owner, attr)))
+            patch.setattr(SysScaleController, "decide", counting_decide)
             controller = SysScaleController(
                 platform=platform, operating_points=operating_points, thresholds=thresholds
             )
+            built = Counter(total)
             engine = SimulationEngine(platform)
             engine.run(battery_life_workload("web_browsing", cycles=cycles), controller)
-        return counts, len(controller.algorithm.decisions), engine.last_run_stats
+        return SimpleNamespace(
+            total=total,
+            after_build=total - built,
+            in_decide=in_decide,
+            decisions=len(controller.algorithm.decisions),
+            stats=engine.last_run_stats,
+        )
 
     def test_model_calls_do_not_grow_with_decisions(
         self, monkeypatch, platform, operating_points, thresholds
     ):
-        short, short_decisions, short_stats = self._counted_run(
-            monkeypatch, platform, operating_points, thresholds, cycles=2
-        )
-        long, long_decisions, long_stats = self._counted_run(
-            monkeypatch, platform, operating_points, thresholds, cycles=8
-        )
-        assert long_decisions >= 4 * short_decisions > 0
-        for counts in (short, long):
-            assert counts["budget"] <= len(operating_points)
+        short = self._counted_run(monkeypatch, platform, operating_points, thresholds, cycles=2)
+        long = self._counted_run(monkeypatch, platform, operating_points, thresholds, cycles=8)
+        assert long.decisions >= 4 * short.decisions > 0
+        for run in (short, long):
+            assert run.total["budget"] <= len(operating_points)
         # The only per-event DRAM-timing reader left is the transition path,
         # which prices each executed transition once.
-        extra_transitions = long_stats.transitions - short_stats.transitions
-        assert long["timings"] - short["timings"] <= extra_transitions
-        assert extra_transitions < (long_decisions - short_decisions) / 10
+        extra_transitions = long.stats.transitions - short.stats.transitions
+        assert long.total["timings"] - short.total["timings"] <= extra_transitions
+        assert extra_transitions < (long.decisions - short.decisions) / 10
+
+    def test_steady_decisions_reuse_the_action_and_read_tables(
+        self, monkeypatch, platform, operating_points, thresholds
+    ):
+        for cycles in (2, 8):
+            run = self._counted_run(monkeypatch, platform, operating_points, thresholds, cycles)
+            transitions = run.stats.transitions
+            assert run.decisions > 10 * transitions > 0
+            # One estimate for the boot point, then at most one per transition.
+            assert run.after_build["estimate_latency"] <= transitions + 1
+            assert run.in_decide["pbm_budgets"] == 0
+            assert run.in_decide["index_of"] == 0
+
+
+class _CheckedSysScale(SysScaleController):
+    """SysScale that checks every reused steady action against a fresh one."""
+
+    checked = 0
+
+    def decide(self, observation):
+        before = self.current_operating_point
+        action = super().decide(observation)
+        point = self.current_operating_point
+        if point is before:
+            fresh = point.to_action(
+                self.platform,
+                transition_latency=self.flow.estimate_latency(point, point),
+                io_memory_budget=point.provisioned_io_memory_power(self.platform),
+            )
+            for spec in fields(PolicyAction):
+                assert getattr(action, spec.name) == getattr(fresh, spec.name), spec.name
+            self.checked += 1
+        return action
+
+
+class TestSteadyActionReuse:
+    """The action reused on steady decisions equals a freshly built one."""
+
+    @pytest.mark.parametrize("variant", ["skylake", "skylake-ddr4"])
+    @pytest.mark.parametrize("workload", ["battery", "markov"])
+    def test_reused_action_equals_fresh_action(self, variant, workload):
+        platform = get_hardware(variant).build()
+        if platform.dram.technology.value == "ddr4":
+            points = build_ddr4_operating_points()
+        else:
+            points = build_default_operating_points(platform)
+        controller = _CheckedSysScale(platform=platform, operating_points=points)
+        if workload == "battery":
+            trace = battery_life_workload("web_browsing", cycles=2)
+        else:
+            trace = SCENARIOS["markov-mobile-alt-seed"].build()
+        engine = SimulationEngine(platform)
+        engine.run(trace, controller)
+        transitions = engine.last_run_stats.transitions
+        assert transitions > 0
+        assert controller.checked == len(controller.algorithm.decisions) - transitions > 0
+
+
+class TestPerRunStatistics:
+    """A reused controller's statistics describe its latest run only."""
+
+    def test_repeated_runs_report_identical_statistics(self, platform, thresholds):
+        controller = SysScaleController(platform=platform, thresholds=thresholds)
+        engine = SimulationEngine(platform)
+        trace = battery_life_workload("web_browsing", cycles=2)
+        runs = []
+        for _ in range(2):
+            engine.run(trace, controller)
+            predictor = controller.algorithm.predictor
+            runs.append(
+                (
+                    predictor.prediction_count,
+                    predictor.low_predictions,
+                    len(controller.flow.history),
+                    [report.as_dict() for report in controller.transition_reports],
+                )
+            )
+        assert runs[0] == runs[1]
+        predictions, _, flow_reports, reports = runs[1]
+        assert predictions == len(controller.algorithm.decisions) > 0
+        assert flow_reports == len(reports) == controller.algorithm.transition_count > 0
+
+    def test_standalone_flow_keeps_its_history(self, operating_points):
+        platform = build_platform()
+        flow = TransitionFlow(
+            rails=platform.soc.rails,
+            interconnect=platform.soc.interconnect_fabric,
+            dram=platform.dram,
+            mrc_sram=platform.mrc_sram,
+            mrc_registers=platform.mrc_registers,
+        )
+        for _ in range(2):
+            flow.execute(operating_points.high, operating_points.low)
+            flow.execute(operating_points.low, operating_points.high)
+        assert len(flow.history) == 4
