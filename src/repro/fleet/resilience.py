@@ -31,7 +31,6 @@ half of the failure state machine:
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -41,6 +40,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.fleet.queue import STATE_DONE, STATE_LEASED, STATE_QUEUED, JobQueue
 from repro.fleet.store import ShardedResultStore, _atomic_write_json
 from repro.hashing import content_hash
+from repro.runtime.cache import read_json_record
 
 __all__ = [
     "RESILIENCE_SCHEMA_VERSION",
@@ -182,17 +182,10 @@ class Quarantine:
         return path
 
     def get(self, job_hash: str) -> Optional[FailureRecord]:
-        try:
-            with (self.jobs_dir / f"{job_hash}.json").open(
-                "r", encoding="utf-8"
-            ) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != RESILIENCE_SCHEMA_VERSION
-        ):
+        data = read_json_record(
+            self.jobs_dir / f"{job_hash}.json", RESILIENCE_SCHEMA_VERSION
+        )
+        if data is None:
             return None
         try:
             return FailureRecord.from_dict(data)
@@ -303,13 +296,10 @@ def _restore_from_store(
 
     Store entries carry the full serialized job next to the payload, so a
     corrupt queue file whose result already landed is fully recoverable.
+    Returns ``False`` when no usable result entry is stored.
     """
-    try:
-        with store.job_path(job_hash).open("r", encoding="utf-8") as handle:
-            entry = json.load(handle)
-    except (OSError, ValueError):
-        return False
-    if not isinstance(entry, dict) or not isinstance(entry.get("job"), dict):
+    entry = store.jobs.entry(job_hash)
+    if entry is None or not isinstance(entry.get("job"), dict):
         return False
     queue.record_done(job_hash, entry["job"], note="doctor-restored")
     return True
@@ -347,9 +337,7 @@ def run_doctor(
         job_hash = path.stem
         repaired = False
         if fix:
-            if store.has_job(job_hash) and _restore_from_store(
-                queue, store, job_hash
-            ):
+            if _restore_from_store(queue, store, job_hash):
                 message = "corrupt queue entry restored from stored result"
                 repaired = True
             else:
@@ -366,7 +354,7 @@ def run_doctor(
 
     # -- 2/3/4. queue-vs-store state skew ------------------------------
     for entry in entries:
-        stored = store.has_job(entry.job_hash)
+        stored = store.jobs.contains(entry.job_hash)
         if entry.state == STATE_DONE and not stored:
             repaired = False
             if fix:
@@ -418,15 +406,8 @@ def run_doctor(
     undrained = any(
         entry.state in (STATE_QUEUED, STATE_LEASED) for entry in entries
     )
-    beat: Optional[Dict[str, Any]] = None
-    try:
-        with paths.heartbeat.open("r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-        if isinstance(loaded, dict):
-            beat = loaded
-    except (OSError, ValueError):
-        beat = None
-    if beat is None:
+    service = paths.service_health(now, heartbeat_stale_after)
+    if service is None:
         if undrained:
             findings.append(
                 Finding(
@@ -436,88 +417,78 @@ def run_doctor(
                     "work is pending but no service heartbeat exists",
                 )
             )
-    else:
-        age = now - float(beat.get("updated_unix", 0.0))
-        pid = int(beat.get("pid", -1))
-        alive = pid > 0 and _pid_alive(pid)
-        if age > heartbeat_stale_after or not alive:
-            state = "stale" if age > heartbeat_stale_after else "dead-pid"
-            severity = SEVERITY_WARNING if undrained else SEVERITY_INFO
-            findings.append(
-                Finding(
-                    severity,
-                    "stale-heartbeat",
-                    "service.json",
-                    (
-                        f"heartbeat is {state} (age {age:.1f}s, pid {pid} "
-                        f"{'alive' if alive else 'not running'})"
-                        + ("; queued/leased work is waiting" if undrained else "")
-                    ),
-                )
+    elif service["health"]["stale"]:
+        age = service["health"]["age_seconds"]
+        alive = service["health"]["alive"]
+        pid = int(service.get("pid", -1))
+        state = "stale" if age > heartbeat_stale_after else "dead-pid"
+        severity = SEVERITY_WARNING if undrained else SEVERITY_INFO
+        findings.append(
+            Finding(
+                severity,
+                "stale-heartbeat",
+                "service.json",
+                (
+                    f"heartbeat is {state} (age {age:.1f}s, pid {pid} "
+                    f"{'alive' if alive else 'not running'})"
+                    + ("; queued/leased work is waiting" if undrained else "")
+                ),
             )
+        )
 
     # -- 6. stray temp files --------------------------------------------
-    for base in (queue.entries_dir, store.root, paths.campaigns_dir):
-        if not base.is_dir():
+    # Every atomic writer (queue entries, store records, manifests, the
+    # heartbeat, quarantine records) leaves its temp file next to its target.
+    for tmp in sorted(paths.root.rglob("*.tmp")):
+        try:
+            age = now - tmp.stat().st_mtime
+        except OSError:
             continue
-        for tmp in sorted(base.rglob("*.tmp")):
+        if age <= STRAY_TMP_AGE:
+            continue
+        repaired = False
+        if fix:
             try:
-                age = now - tmp.stat().st_mtime
+                tmp.unlink()
+                repaired = True
             except OSError:
-                continue
-            if age <= STRAY_TMP_AGE:
-                continue
-            repaired = False
-            if fix:
-                try:
-                    tmp.unlink()
-                    repaired = True
-                except OSError:
-                    pass
-            findings.append(
-                Finding(
-                    SEVERITY_WARNING,
-                    "stray-tmp",
-                    str(tmp.relative_to(paths.root)),
-                    f"orphaned temp file ({age:.0f}s old)",
-                    repaired,
-                )
+                pass
+        findings.append(
+            Finding(
+                SEVERITY_WARNING,
+                "stray-tmp",
+                str(tmp.relative_to(paths.root)),
+                f"orphaned temp file ({age:.0f}s old)",
+                repaired,
             )
+        )
 
     # -- 7. manifest accounting ------------------------------------------
     known = {entry.job_hash for entry in entries}
-    if paths.campaigns_dir.is_dir():
-        for manifest_path in sorted(paths.campaigns_dir.glob("*.json")):
-            try:
-                with manifest_path.open("r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (OSError, ValueError):
+    for manifest in paths.manifests():
+        for job_hash in manifest["jobs"]:
+            if store.jobs.contains(job_hash) or job_hash in known:
                 continue
-            if not isinstance(manifest, dict) or "jobs" not in manifest:
-                continue
-            for job_hash in manifest["jobs"]:
-                if store.has_job(job_hash) or job_hash in known:
-                    continue
-                if quarantine.has(job_hash):
-                    findings.append(
-                        Finding(
-                            SEVERITY_INFO,
-                            "quarantined-job",
-                            job_hash,
-                            f"manifest job is quarantined "
-                            f"(campaign {manifest.get('campaign')})",
-                        )
+            if quarantine.has(job_hash):
+                findings.append(
+                    Finding(
+                        SEVERITY_INFO,
+                        "quarantined-job",
+                        job_hash,
+                        f"manifest job is quarantined "
+                        f"(campaign {manifest['campaign']})",
                     )
-                else:
-                    findings.append(
-                        Finding(
-                            SEVERITY_ERROR,
-                            "lost-job",
-                            job_hash,
-                            "manifest job has no queue entry, stored result, "
-                            "or quarantine record",
-                        )
+                )
+            else:
+                findings.append(
+                    Finding(
+                        SEVERITY_ERROR,
+                        "lost-job",
+                        job_hash,
+                        "manifest job has no queue entry, stored result, "
+                        "or quarantine record",
                     )
+                )
 
     quarantine_counts = quarantine.counts()
     if quarantine_counts["jobs"] or quarantine_counts["corrupt"]:

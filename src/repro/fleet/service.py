@@ -31,7 +31,6 @@ payloads and reports are bit-identical to a serial run of the same campaign
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -66,6 +65,7 @@ from repro.fleet.store import (
 )
 from repro.hashing import content_hash
 from repro.obs import state as obs_state
+from repro.runtime.cache import read_json_record
 from repro.runtime.campaign import CAMPAIGNS, Campaign
 from repro.runtime.executor import JobFailure, SerialExecutor
 from repro.runtime.jobs import SimSpec
@@ -111,6 +111,50 @@ class FleetPaths:
     @property
     def heartbeat(self) -> Path:
         return self.root / "service.json"
+
+    def manifests(self) -> List[Dict[str, Any]]:
+        """Every campaign manifest, in file-name (spec-hash) order.
+
+        A manifest is a readable JSON object with this schema version,
+        ``kind: fleet_manifest`` and the ``campaign``/``spec_hash``/``jobs``
+        fields; any other file under ``campaigns/`` (torn, foreign, or
+        stale) is not a campaign, for the service, status and the doctor
+        alike.
+        """
+        if not self.campaigns_dir.is_dir():
+            return []
+        found = []
+        for path in sorted(self.campaigns_dir.glob("*.json")):
+            manifest = read_json_record(path, FLEET_SCHEMA_VERSION)
+            if (
+                manifest is not None
+                and manifest.get("kind") == "fleet_manifest"
+                and all(key in manifest for key in ("campaign", "spec_hash", "jobs"))
+            ):
+                found.append(manifest)
+        return found
+
+    def service_health(
+        self, now: float, stale_after: float
+    ) -> Optional[Dict[str, Any]]:
+        """The service heartbeat with a ``health`` verdict, or ``None``.
+
+        Any JSON object counts as a heartbeat.  ``health`` carries its age,
+        whether its pid is alive, and ``stale`` (age beyond ``stale_after``
+        or a dead pid) -- a wedged or killed service reads as exactly that.
+        """
+        beat = read_json_record(self.heartbeat, None)
+        if beat is None:
+            return None
+        age = now - float(beat.get("updated_unix", 0.0))
+        pid = int(beat.get("pid", -1))
+        alive = pid > 0 and _pid_alive(pid)
+        beat["health"] = {
+            "age_seconds": age,
+            "alive": alive,
+            "stale": age > stale_after or not alive,
+        }
+        return beat
 
 
 def sweep_spec_hash(campaign: Campaign) -> str:
@@ -346,7 +390,7 @@ class FleetService:
         try:
             self.executor.run(
                 jobs,
-                cache=self.store.job_cache(),
+                cache=self.store.jobs,
                 on_error=on_error,
                 pre_hook=pre_hook,
             )
@@ -393,7 +437,7 @@ class FleetService:
         """
         obs_state.counter("fleet.failures.pool_breaks").inc()
         for entry in entries:
-            if self.store.has_job(entry.job_hash):
+            if self.store.jobs.contains(entry.job_hash):
                 self.queue.complete(entry.job_hash, fallback=entry)
                 continue
             if len(entries) == 1:
@@ -460,9 +504,7 @@ class FleetService:
         _, corrupt, _ = self.queue.scan()
         for path in corrupt:
             job_hash = path.stem
-            if self.store.has_job(job_hash) and _restore_from_store(
-                self.queue, self.store, job_hash
-            ):
+            if _restore_from_store(self.queue, self.store, job_hash):
                 obs_state.counter("fleet.failures.corrupt_healed").inc()
                 continue
             known = self._known.get(job_hash)
@@ -538,20 +580,7 @@ class FleetService:
     def finalize_reports(self) -> int:
         """Turn fully-landed manifests into stored ``spec_hash`` reports."""
         finalized = 0
-        if not self.paths.campaigns_dir.is_dir():
-            return 0
-        for path in sorted(self.paths.campaigns_dir.glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if (
-                not isinstance(manifest, dict)
-                or manifest.get("schema") != FLEET_SCHEMA_VERSION
-                or manifest.get("kind") != "fleet_manifest"
-            ):
-                continue
+        for manifest in self.paths.manifests():
             spec_hash = manifest["spec_hash"]
             if self.store.get_report(spec_hash) is not None:
                 continue
@@ -559,11 +588,11 @@ class FleetService:
             results: Dict[str, Dict[str, Any]] = {}
             complete = True
             for job_hash in job_hashes:
-                payload = self.store.job_payload(job_hash)
-                if payload is None:
+                entry = self.store.jobs.entry(job_hash)
+                if entry is None:
                     complete = False
                     break
-                results[job_hash] = payload
+                results[job_hash] = entry["result"]
             if not complete:
                 continue
             self.store.put_report(
@@ -577,14 +606,11 @@ class FleetService:
 
     def _pending_manifests(self) -> int:
         """Manifests whose reports are not stored yet."""
-        if not self.paths.campaigns_dir.is_dir():
-            return 0
-        pending = 0
-        for path in self.paths.campaigns_dir.glob("*.json"):
-            spec_hash = path.stem
-            if self.store.get_report(spec_hash) is None:
-                pending += 1
-        return pending
+        return sum(
+            1
+            for manifest in self.paths.manifests()
+            if self.store.get_report(manifest["spec_hash"]) is None
+        )
 
     def _write_heartbeat(self, now: float) -> None:
         _atomic_write_json(
@@ -714,44 +740,16 @@ def fleet_status(
     paths = FleetPaths(Path(root))
     store = ShardedResultStore(paths.store_dir)
     queue = JobQueue(paths.queue_dir)
-    campaigns = []
-    if paths.campaigns_dir.is_dir():
-        for path in sorted(paths.campaigns_dir.glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    manifest = json.load(handle)
-            except (OSError, ValueError):
-                continue
-            if not isinstance(manifest, dict) or "jobs" not in manifest:
-                continue
-            job_hashes = list(manifest["jobs"])
-            landed = sum(1 for h in job_hashes if store.has_job(h))
-            campaigns.append(
-                {
-                    "campaign": manifest.get("campaign"),
-                    "spec_hash": manifest.get("spec_hash"),
-                    "jobs": len(job_hashes),
-                    "landed": landed,
-                    "reported": store.get_report(path.stem) is not None,
-                }
-            )
-    service: Optional[Dict[str, Any]] = None
-    try:
-        with paths.heartbeat.open("r", encoding="utf-8") as handle:
-            beat = json.load(handle)
-        if isinstance(beat, dict):
-            service = dict(beat)
-    except (OSError, ValueError):
-        service = None
-    if service is not None:
-        age = now - float(service.get("updated_unix", 0.0))
-        pid = int(service.get("pid", -1))
-        alive = pid > 0 and _pid_alive(pid)
-        service["health"] = {
-            "age_seconds": age,
-            "alive": alive,
-            "stale": age > stale_after or not alive,
+    campaigns = [
+        {
+            "campaign": manifest["campaign"],
+            "spec_hash": manifest["spec_hash"],
+            "jobs": len(manifest["jobs"]),
+            "landed": sum(1 for h in manifest["jobs"] if store.jobs.contains(h)),
+            "reported": store.get_report(manifest["spec_hash"]) is not None,
         }
+        for manifest in paths.manifests()
+    ]
     counts = queue.counts()
     quarantine = Quarantine(paths.root / QUARANTINE_SUBDIR)
     return {
@@ -764,7 +762,7 @@ def fleet_status(
         "store": store.stats(),
         "quarantine": quarantine.counts(),
         "campaigns": campaigns,
-        "service": service,
+        "service": paths.service_health(now, stale_after),
     }
 
 
@@ -785,10 +783,10 @@ def verify_campaign(root: Path, campaign: Campaign) -> Dict[str, Any]:
     for outcome in serial_report.outcomes:
         job_hash = outcome.job.content_hash
         serial_results[job_hash] = outcome.payload
-        stored = store.job_payload(job_hash)
+        stored = store.jobs.entry(job_hash)
         if stored is None:
             missing.append(job_hash)
-        elif content_hash(stored) != content_hash(outcome.payload):
+        elif content_hash(stored["result"]) != content_hash(outcome.payload):
             mismatched.append(job_hash)
     stored_report = store.get_report(spec_hash)
     expected_report = build_sweep_report(

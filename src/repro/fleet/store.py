@@ -1,16 +1,16 @@
 """The sharded content-addressed result store the sweep service shares.
 
-One store directory holds two namespaces, both prefix-sharded the way the
-runtime cache shards (two-character hash-prefix directories, one JSON file
-per entry, atomic temp-file-then-``os.replace`` writes):
+One store directory holds two namespaces, both in the runtime cache's
+on-disk record layout (two-character hash-prefix shard directories, one JSON
+file per entry, atomic temp-file-then-``os.replace`` writes -- the helpers in
+:mod:`repro.runtime.cache`):
 
 ``jobs/``
-    Per-job result entries in **exactly** the :class:`ResultCache` layout and
-    entry format -- the store's job side *is* a cache directory, so the
-    existing runtime cache reads and writes it unchanged
-    (:meth:`ShardedResultStore.job_cache` hands back a ``ResultCache`` rooted
-    there).  Multiple services or CLI runs pointed at the same store share
-    results with no translation layer.
+    Per-job result entries.  :attr:`ShardedResultStore.jobs` *is* a
+    :class:`ResultCache` rooted there, so executors, the CLI's
+    ``--cache-dir`` and the service all read and write it unchanged.
+    Multiple services or CLI runs pointed at the same store share results
+    with no translation layer.
 
 ``reports/``
     Whole sweep reports keyed by **spec hash** -- the content hash of what a
@@ -19,42 +19,31 @@ per entry, atomic temp-file-then-``os.replace`` writes):
     granularity: no queueing, no per-job lookups, the finished document comes
     straight back.  This is the ``spec_hash``-level warm start the ROADMAP's
     sweep-service item calls for.
-
-:meth:`ShardedResultStore.migrate_flat` absorbs the pre-sharded flat layout
-(every ``<hash>.json`` directly in one directory) by moving entries into
-their prefix shards, so an old cache directory can be adopted as a store's
-job namespace in place.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Optional
 
 from repro.obs import state as obs_state
-from repro.runtime.cache import ResultCache
-from repro.runtime.jobs import SCHEMA_VERSION, Job
+from repro.runtime.cache import (
+    ResultCache,
+    iter_sharded,
+    read_json_record,
+    sharded_path,
+    write_json_atomic,
+)
 
 __all__ = [
     "FLEET_SCHEMA_VERSION",
-    "SHARD_WIDTH",
     "ShardedResultStore",
 ]
 
 #: Version stamp carried by every report entry (and the sweep-spec payloads
 #: hashed into ``spec_hash``); bump on incompatible layout changes.
 FLEET_SCHEMA_VERSION = 1
-
-#: Hash-prefix width of shard directories.  Fixed at the ``ResultCache``
-#: width so the job namespace stays byte-compatible with the runtime cache.
-SHARD_WIDTH = 2
-
-_JOBS_SUBDIR = "jobs"
-_REPORTS_SUBDIR = "reports"
 
 
 def _atomic_write_json(
@@ -63,31 +52,18 @@ def _atomic_write_json(
     faults: Optional[Any] = None,
     fault_op: Optional[str] = None,
 ) -> None:
-    """Write ``document`` to ``path`` via a same-directory temp file.
+    """:func:`write_json_atomic` behind the fleet's chaos seam.
 
-    ``faults``/``fault_op`` are the chaos seam: when a
-    :class:`~repro.fleet.faults.FaultPlan` is attached, it may replace the
-    write with a torn one, drop it (leaving a stray temp file), or raise an
-    injected ``OSError`` -- deterministically from its seed.  Production
-    callers pass neither and get the plain atomic write.
+    When a :class:`~repro.fleet.faults.FaultPlan` is attached (``faults`` and
+    ``fault_op``), it may replace the write with a torn one, drop it (leaving
+    a stray temp file), or raise an injected ``OSError`` -- deterministically
+    from its seed.  Production callers pass neither and get the plain atomic
+    write.
     """
     if faults is not None and fault_op is not None:
         if faults.intercept_write(fault_op, path, document) is not None:
             return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    descriptor, temp_name = tempfile.mkstemp(
-        prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
-    )
-    try:
-        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-            json.dump(document, handle)
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    write_json_atomic(path, document)
 
 
 @dataclass
@@ -97,71 +73,25 @@ class ShardedResultStore:
     root: Path
     #: Optional chaos plan (:class:`repro.fleet.faults.FaultPlan`) applied to
     #: the report namespace's reads/writes; ``None`` in production.  The job
-    #: namespace goes through ``ResultCache`` (runtime layer) and is not
+    #: namespace is a plain ``ResultCache`` (runtime layer) and is not
     #: intercepted -- runtime never sees fleet.
     faults: Optional[Any] = None
-    _job_cache: ResultCache = field(init=False, repr=False)
+    #: The job namespace: a runtime ``ResultCache`` rooted at ``<root>/jobs``.
+    jobs: ResultCache = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        self._job_cache = ResultCache(self.root / _JOBS_SUBDIR)
-
-    # ------------------------------------------------------------------
-    # Job namespace (ResultCache-compatible)
-    # ------------------------------------------------------------------
-    @property
-    def jobs_root(self) -> Path:
-        return self.root / _JOBS_SUBDIR
-
-    @property
-    def reports_root(self) -> Path:
-        return self.root / _REPORTS_SUBDIR
-
-    def job_cache(self) -> ResultCache:
-        """The runtime cache view of the job namespace.
-
-        Executors take this exactly where they take any other
-        ``ResultCache`` -- the store adds namespacing, reports, and
-        migration *around* the cache format, never a new entry format.
-        """
-        return self._job_cache
-
-    def job_path(self, job_hash: str) -> Path:
-        return self._job_cache.path_for(job_hash)
-
-    def has_job(self, job_hash: str) -> bool:
-        """True when a result entry for ``job_hash`` is on disk."""
-        return self.job_path(job_hash).is_file()
-
-    def get_job(self, job: Job) -> Optional[Dict[str, Any]]:
-        return self._job_cache.get(job)
-
-    def put_job(self, job: Job, payload: Dict[str, Any]) -> Path:
-        return self._job_cache.put(job, payload)
-
-    def job_payload(self, job_hash: str) -> Optional[Dict[str, Any]]:
-        """The stored result payload for a hash, without a ``Job`` object.
-
-        Status and verification read results by hash (the queue and campaign
-        manifests only carry hashes); schema-mismatched or unreadable entries
-        read as absent, the same way the cache treats them.
-        """
-        try:
-            with self.job_path(job_hash).open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION:
-            return None
-        return entry.get("result")
+        self.jobs = ResultCache(self.root / "jobs")
 
     # ------------------------------------------------------------------
     # Report namespace (spec_hash-level warm starts)
     # ------------------------------------------------------------------
+    @property
+    def reports_root(self) -> Path:
+        return self.root / "reports"
+
     def report_path(self, spec_hash: str) -> Path:
-        if len(spec_hash) <= SHARD_WIDTH:
-            raise ValueError(f"spec hash {spec_hash!r} is too short")
-        return self.reports_root / spec_hash[:SHARD_WIDTH] / f"{spec_hash}.json"
+        return sharded_path(self.reports_root, spec_hash)
 
     def get_report(self, spec_hash: str) -> Optional[Dict[str, Any]]:
         """The stored sweep report for ``spec_hash``, or ``None``.
@@ -169,19 +99,14 @@ class ShardedResultStore:
         Entries written under a different schema version (or corrupt files)
         read as absent: the sweep simply runs again and rewrites them.
         """
-        try:
-            if self.faults is not None:
-                self.faults.intercept_read("store.read", self.report_path(spec_hash))
-            with self.report_path(spec_hash).open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            return None
-        if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != FLEET_SCHEMA_VERSION
-            or entry.get("spec_hash") != spec_hash
-            or "report" not in entry
-        ):
+        path = self.report_path(spec_hash)
+        if self.faults is not None:
+            try:
+                self.faults.intercept_read("store.read", path)
+            except OSError:
+                return None
+        entry = read_json_record(path, FLEET_SCHEMA_VERSION)
+        if entry is None or entry.get("spec_hash") != spec_hash or "report" not in entry:
             return None
         return entry["report"]
 
@@ -201,56 +126,12 @@ class ShardedResultStore:
         obs_state.counter("fleet.store.report_writes").inc()
         return path
 
-    def iter_reports(self) -> Iterator[Path]:
-        if not self.reports_root.is_dir():
-            return
-        for shard in sorted(self.reports_root.iterdir()):
-            if shard.is_dir() and len(shard.name) == SHARD_WIDTH:
-                yield from sorted(shard.glob("*.json"))
-
-    # ------------------------------------------------------------------
-    # Migration and accounting
-    # ------------------------------------------------------------------
-    def migrate_flat(self, source: Optional[Union[str, Path]] = None) -> int:
-        """Move flat ``<hash>.json`` entries into their prefix shards.
-
-        ``source`` defaults to the store's own job namespace (adopting a flat
-        legacy directory in place); pointing it at another cache directory
-        pulls that directory's entries -- flat files *and* already-sharded
-        ones -- into this store.  Moves are ``os.replace`` per entry, so a
-        crash mid-migration loses nothing: every entry is either still at its
-        old path or already at its new one.
-        """
-        source_dir = Path(source) if source is not None else self.jobs_root
-        if not source_dir.is_dir():
-            return 0
-        moved = 0
-        candidates = sorted(source_dir.glob("*.json"))
-        if source_dir != self.jobs_root:
-            for shard in sorted(source_dir.iterdir()):
-                if shard.is_dir() and len(shard.name) == SHARD_WIDTH:
-                    candidates.extend(sorted(shard.glob("*.json")))
-        for path in candidates:
-            job_hash = path.stem
-            if len(job_hash) <= SHARD_WIDTH:
-                continue
-            target = self.job_path(job_hash)
-            if target == path:
-                continue
-            target.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(path, target)
-            moved += 1
-        if moved:
-            obs_state.counter("fleet.store.migrated_entries").inc(moved)
-        return moved
-
     def stats(self) -> Dict[str, Any]:
         """Entry counts and on-disk footprint, for ``repro fleet status``."""
-        job_entries = list(self._job_cache.iter_entries())
-        report_entries = list(self.iter_reports())
+        job_entries = list(self.jobs.iter_entries())
+        report_entries = list(iter_sharded(self.reports_root))
         return {
             "root": str(self.root),
-            "shard_width": SHARD_WIDTH,
             "jobs": len(job_entries),
             "reports": len(report_entries),
             "bytes": sum(p.stat().st_size for p in job_entries + report_entries),

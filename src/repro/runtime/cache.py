@@ -11,6 +11,12 @@ Writes are atomic (write to a temp file in the same directory, then
 concurrent runs sharing a cache directory at worst do redundant work -- they
 can never corrupt each other's entries.
 
+The module-level record helpers (:func:`sharded_path`, :func:`iter_sharded`,
+:func:`write_json_atomic`, :func:`read_json_record`) are the one on-disk
+record layer: the fleet's store, manifests, queue entries, quarantine records
+and heartbeat are written through them too, and read through them except for
+queue entries (whose reader separates transient read errors from corruption).
+
 A bounded in-memory memo sits in front of the disk store: warm sweeps that
 resolve the same job hash repeatedly (campaign rebasing, ``hwsweep`` and
 ``robustness`` sharing jobs across experiments in one session) hit the memo
@@ -47,6 +53,69 @@ DEFAULT_MEMO_ENTRIES = 1024
 def default_cache_dir() -> Path:
     """The cache directory the CLI and examples use by default."""
     return Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR))
+
+
+# ----------------------------------------------------------------------
+# On-disk JSON records
+# ----------------------------------------------------------------------
+def sharded_path(root: Path, key: str) -> Path:
+    """The record file for ``key`` under ``root``: ``<key[:2]>/<key>.json``."""
+    if len(key) < 3:
+        raise ValueError(f"hash {key!r} is too short")
+    return root / key[:2] / f"{key}.json"
+
+
+def iter_sharded(root: Path) -> Iterator[Path]:
+    """Every record file under ``root``'s two-character shard directories."""
+    if not root.is_dir():
+        return
+    for shard in sorted(root.iterdir()):
+        if shard.is_dir() and len(shard.name) == 2:
+            yield from sorted(shard.glob("*.json"))
+
+
+def write_json_atomic(path: Path, document: Dict[str, Any]) -> None:
+    """Write ``document`` to ``path`` via a same-directory temp file.
+
+    The temp file (``.<stem[:8]>-*.tmp``) is renamed over ``path`` with
+    ``os.replace``, so readers see either the old record or the new one,
+    never a truncated file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, temp_name = tempfile.mkstemp(
+        prefix=f".{path.stem[:8]}-", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
+def read_json_record(path: Path, schema: Optional[int]) -> Optional[Dict[str, Any]]:
+    """The JSON object stored at ``path``, or ``None``.
+
+    ``None`` covers a missing or unreadable file, undecodable bytes, a
+    document that is not an object, and (unless ``schema`` is ``None``) a
+    ``schema`` stamp other than ``schema``.
+    """
+    try:
+        with path.open("r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except (OSError, ValueError):
+        # OSError covers missing/unreadable files; ValueError covers both
+        # json.JSONDecodeError and UnicodeDecodeError from corrupt bytes.
+        return None
+    if not isinstance(document, dict):
+        return None
+    if schema is not None and document.get("schema") != schema:
+        return None
+    return document
 
 
 @dataclass
@@ -95,9 +164,7 @@ class ResultCache:
     # ------------------------------------------------------------------
     def path_for(self, job_hash: str) -> Path:
         """The entry file for a job hash."""
-        if len(job_hash) < 3:
-            raise ValueError(f"job hash {job_hash!r} is too short")
-        return self.root / job_hash[:2] / f"{job_hash}.json"
+        return sharded_path(self.root, job_hash)
 
     # ------------------------------------------------------------------
     # Lookup / store
@@ -121,17 +188,8 @@ class ResultCache:
             # Serve a copy: a disk read always returned a fresh dict, so a
             # caller mutating its payload must never poison later hits.
             return copy.deepcopy(memoized)
-        path = self.path_for(job_hash)
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                entry = json.load(handle)
-        except (OSError, ValueError):
-            # OSError covers missing/unreadable files; ValueError covers both
-            # json.JSONDecodeError and UnicodeDecodeError from corrupt bytes.
-            self.stats.misses += 1
-            obs_state.counter("cache.misses").inc()
-            return None
-        if not isinstance(entry, dict) or entry.get("schema") != SCHEMA_VERSION or "result" not in entry:
+        entry = self.entry(job_hash)
+        if entry is None:
             self.stats.misses += 1
             obs_state.counter("cache.misses").inc()
             return None
@@ -139,6 +197,16 @@ class ResultCache:
         obs_state.counter("cache.hits").inc()
         self._memoize(job_hash, entry["result"])
         return entry["result"]
+
+    def entry(self, job_hash: str) -> Optional[Dict[str, Any]]:
+        """The stored entry (``schema``/``hash``/``job``/``result``) for a
+        hash, or ``None`` when it is missing, unreadable, of another schema
+        version, or has no result.  Reads the file every time; does not
+        touch the stats or the memo."""
+        entry = read_json_record(self.path_for(job_hash), SCHEMA_VERSION)
+        if entry is None or "result" not in entry:
+            return None
+        return entry
 
     def _memoize(self, job_hash: str, payload: Dict[str, Any]) -> None:
         if self.memo_entries <= 0:
@@ -154,45 +222,31 @@ class ResultCache:
         """Store ``payload`` for ``job`` atomically; returns the entry path."""
         job_hash = job.content_hash
         path = self.path_for(job_hash)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "hash": job_hash,
-            "job": job.to_dict(),
-            "result": payload,
-        }
-        descriptor, temp_name = tempfile.mkstemp(
-            prefix=f".{job_hash[:8]}-", suffix=".tmp", dir=path.parent
+        write_json_atomic(
+            path,
+            {
+                "schema": SCHEMA_VERSION,
+                "hash": job_hash,
+                "job": job.to_dict(),
+                "result": payload,
+            },
         )
-        try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(entry, handle)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
         self.stats.writes += 1
         obs_state.counter("cache.writes").inc()
         self._memoize(job_hash, payload)
         return path
 
-    def contains(self, job: Job) -> bool:
-        """True when an entry for ``job`` exists (does not touch the stats)."""
-        return self.path_for(job.content_hash).is_file()
+    def contains(self, job_hash: str) -> bool:
+        """True when an entry file for ``job_hash`` exists (does not touch
+        the stats)."""
+        return self.path_for(job_hash).is_file()
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterator[Path]:
         """All entry files currently in the store."""
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if shard.is_dir() and len(shard.name) == 2:
-                yield from sorted(shard.glob("*.json"))
+        return iter_sharded(self.root)
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_entries())

@@ -29,9 +29,8 @@ Subcommands:
 * ``serve`` / ``submit`` / ``fleet`` -- the sweep service
   (:mod:`repro.fleet`): ``submit CAMPAIGN`` enqueues a campaign's jobs into a
   durable fleet directory, ``serve`` runs the batched, autoscaling worker
-  loop over it, and ``fleet status|verify|migrate`` inspect the directory,
-  check fleet results bit-identical against a serial re-run, and absorb flat
-  cache directories into the sharded store;
+  loop over it, and ``fleet status|verify`` inspect the directory and
+  check fleet results bit-identical against a serial re-run;
 * ``trace`` -- inspect recorded telemetry: ``describe`` summarizes a JSONL
   trace file (event counts, span timings, engine segment statistics,
   operating-point and phase residencies), ``diff A B`` attributes simulated
@@ -1111,17 +1110,6 @@ def _cmd_fleet_verify(args: argparse.Namespace) -> int:
     return 0 if verdict["ok"] else 1
 
 
-def _cmd_fleet_migrate(args: argparse.Namespace) -> int:
-    from repro.fleet import ShardedResultStore
-    from repro.fleet.service import FleetPaths
-
-    ui = _console_for(args)
-    store = ShardedResultStore(FleetPaths(args.fleet_dir).store_dir)
-    moved = store.migrate_flat(source=args.source)
-    ui.out(f"migrate: {moved} entr(ies) moved into {store.jobs_root}")
-    return 0
-
-
 def _cmd_fleet_doctor(args: argparse.Namespace) -> int:
     from repro.fleet import run_doctor
 
@@ -1719,19 +1707,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="emit the verdict as JSON"
     )
     fleet_verify_parser.set_defaults(handler=_cmd_fleet_verify)
-    fleet_migrate_parser = fleet_sub.add_parser(
-        "migrate",
-        help="absorb a flat cache directory into the store's sharded layout",
-    )
-    add_fleet_dir(fleet_migrate_parser)
-    fleet_migrate_parser.add_argument(
-        "--source", default=None, metavar="DIR",
-        help=(
-            "cache directory to pull entries from (default: shard the "
-            "store's own job namespace in place)"
-        ),
-    )
-    fleet_migrate_parser.set_defaults(handler=_cmd_fleet_migrate)
     fleet_doctor_parser = fleet_sub.add_parser(
         "doctor",
         help="audit queue/store/heartbeat consistency (exit 1 when unhealthy)",

@@ -32,12 +32,12 @@ from repro.hw import HardwareSpec
 from repro.runtime import (
     Campaign,
     PolicySpec,
+    ResultCache,
     SerialExecutor,
     SimSpec,
     SimulationJob,
     TraceSpec,
 )
-from repro.runtime.jobs import SCHEMA_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures" / "fleet"
 
@@ -162,7 +162,7 @@ class TestSubmitDedup:
     def test_store_hit_lands_straight_in_done(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store")
         job = _tiny_job()
-        store.put_job(job, {"answer": 42})
+        store.jobs.put(job, {"answer": 42})
         queue = JobQueue(tmp_path / "q")
         entry = queue.submit(job, store=store)
         assert entry.state == STATE_DONE
@@ -172,7 +172,7 @@ class TestSubmitDedup:
     def test_submit_many_accounts_each_dedup_kind(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store")
         answered = _tiny_job(policy="sysscale")
-        store.put_job(answered, {"answer": 42})
+        store.jobs.put(answered, {"answer": 42})
         queue = JobQueue(tmp_path / "q")
         fresh = _tiny_job()
         queue.submit(fresh)  # already live in the queue
@@ -329,52 +329,21 @@ class TestAutoscaler:
 
 
 # ---------------------------------------------------------------------------
-# Sharded store: migration from a flat cache directory
+# Sharded store: the job namespace is a runtime cache directory
 # ---------------------------------------------------------------------------
 
 
-class TestStoreMigration:
-    def _flat_entry(self, directory, job, payload):
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "hash": job.content_hash,
-            "job": job.to_dict(),
-            "result": payload,
-        }
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{job.content_hash}.json").write_text(json.dumps(entry))
-
-    def test_flat_directory_migrates_into_shards(self, tmp_path):
-        flat = tmp_path / "old-cache"
-        jobs = [_tiny_job(), _tiny_job(policy="sysscale")]
-        for index, job in enumerate(jobs):
-            self._flat_entry(flat, job, {"answer": index})
-        store = ShardedResultStore(tmp_path / "store")
-        assert store.migrate_flat(source=flat) == 2
-        for index, job in enumerate(jobs):
-            assert store.has_job(job.content_hash)
-            assert store.job_payload(job.content_hash) == {"answer": index}
-            # The entry sits in its two-character prefix shard...
-            path = store.job_path(job.content_hash)
-            assert path.parent.name == job.content_hash[:2]
-            # ...and reads back through the plain runtime cache unchanged.
-            assert store.job_cache().get(job) == {"answer": index}
-        assert not list(flat.glob("*.json"))  # moved, not copied
-
-    def test_in_place_adoption_of_flat_job_namespace(self, tmp_path):
+class TestStoreLayout:
+    def test_job_entries_read_back_through_a_plain_result_cache(self, tmp_path):
         store = ShardedResultStore(tmp_path / "store")
         job = _tiny_job()
-        self._flat_entry(store.jobs_root, job, {"answer": 7})
-        assert not store.has_job(job.content_hash)  # flat entry is invisible
-        assert store.migrate_flat() == 1
-        assert store.job_payload(job.content_hash) == {"answer": 7}
-
-    def test_migrate_is_idempotent(self, tmp_path):
-        store = ShardedResultStore(tmp_path / "store")
-        job = _tiny_job()
-        self._flat_entry(store.jobs_root, job, {"answer": 7})
-        assert store.migrate_flat() == 1
-        assert store.migrate_flat() == 0
+        job_hash = job.content_hash
+        path = store.jobs.put(job, {"answer": 7})
+        # The entry sits in its two-character prefix shard...
+        assert path == tmp_path / "store" / "jobs" / job_hash[:2] / f"{job_hash}.json"
+        # ...and reads back through an independent runtime cache unchanged.
+        assert ResultCache(tmp_path / "store" / "jobs").get(job) == {"answer": 7}
+        assert store.jobs.entry(job_hash)["job"] == job.to_dict()
         assert store.stats()["jobs"] == 1
 
 

@@ -16,6 +16,7 @@ from repro.fleet import (
     Quarantine,
     ShardedResultStore,
     backoff_seconds,
+    fleet_status,
     run_doctor,
     submit_campaign,
     verify_campaign,
@@ -504,8 +505,8 @@ class TestServiceChaos:
         assert record.job is not None  # resubmittable payload preserved
         store = ShardedResultStore(FleetPaths(root).store_dir)
         for job in campaign.jobs[1:]:
-            assert store.has_job(job.content_hash)
-        assert not store.has_job(poison_hash)
+            assert store.jobs.contains(job.content_hash)
+        assert not store.jobs.contains(poison_hash)
 
     def test_pool_crash_poison_job_quarantined_others_complete(self, tmp_path):
         """The acceptance shape: a job that kills its pool worker every
@@ -528,7 +529,7 @@ class TestServiceChaos:
         assert record.attempts == 2
         store = ShardedResultStore(FleetPaths(root).store_dir)
         for job in campaign.jobs[1:]:
-            assert store.has_job(job.content_hash)
+            assert store.jobs.contains(job.content_hash)
         # The queue holds only the completed jobs; the poison entry moved out.
         counts = JobQueue(FleetPaths(root).queue_dir).counts()
         assert counts[STATE_DONE] == len(campaign.jobs) - 1
@@ -611,7 +612,7 @@ class TestDoctor:
         store = ShardedResultStore(FleetPaths(root).store_dir)
         queue = JobQueue(FleetPaths(root).queue_dir)
         victim = queue.entries()[0]
-        store.job_path(victim.job_hash).unlink()
+        store.jobs.path_for(victim.job_hash).unlink()
         audit = run_doctor(root)
         assert any(f.code == "done-missing-result" for f in audit.findings)
         assert not audit.ok
@@ -645,13 +646,44 @@ class TestDoctor:
     def test_stray_tmp_is_swept_on_fix(self, tmp_path):
         root = tmp_path / "fleet"
         queue = JobQueue(FleetPaths(root).queue_dir)
-        stray = queue.entries_dir / ".cafef00d-abc.tmp"
-        stray.write_text("{}", encoding="utf-8")
+        quarantine = Quarantine(root / "quarantine")
+        quarantine.jobs_dir.mkdir(parents=True)
+        # One per writer: a queue entry, the per-poll heartbeat (fleet root),
+        # and a quarantine record.
+        strays = [
+            queue.entries_dir / ".cafef00d-abc.tmp",
+            root / ".service-abc.tmp",
+            quarantine.jobs_dir / ".deadbeef-abc.tmp",
+        ]
         stamp = time.time() - 3600.0
-        os.utime(stray, (stamp, stamp))
+        for stray in strays:
+            stray.write_text("{}", encoding="utf-8")
+            os.utime(stray, (stamp, stamp))
         report = run_doctor(root, fix=True)
-        assert any(f.code == "stray-tmp" and f.fixed for f in report.findings)
-        assert not stray.exists()
+        swept = {f.subject for f in report.findings if f.code == "stray-tmp" and f.fixed}
+        assert swept == {str(stray.relative_to(root)) for stray in strays}
+        assert not any(stray.exists() for stray in strays)
+
+    def test_unreadable_manifest_is_not_a_campaign_anywhere(self, tmp_path):
+        # Service drain, finalize, status and the doctor share one manifest
+        # reader, so a torn manifest cannot keep `serve --drain` running
+        # while status already reports the directory drained.
+        root, _ = self._drained_fleet(tmp_path)
+        (FleetPaths(root).campaigns_dir / "abcdef.json").write_text(
+            '{"schema": 1, "kind": "fleet_', encoding="utf-8"
+        )
+        service = FleetService(_drain_config(root))
+        try:
+            assert service.finalize_reports() == 0
+            assert service.drained()
+        finally:
+            service.executor.close()
+        status = fleet_status(root)
+        assert status["drained"]
+        assert len(status["campaigns"]) == 1
+        report = run_doctor(root)
+        assert report.ok
+        assert all(f.severity != "error" for f in report.findings)
 
     def test_lost_manifest_job_is_an_error(self, tmp_path):
         root, campaign = self._drained_fleet(tmp_path)
@@ -659,7 +691,7 @@ class TestDoctor:
         queue = JobQueue(FleetPaths(root).queue_dir)
         store = ShardedResultStore(FleetPaths(root).store_dir)
         queue.remove(victim)
-        store.job_path(victim).unlink()
+        store.jobs.path_for(victim).unlink()
         report = run_doctor(root)
         assert not report.ok
         assert any(

@@ -23,6 +23,7 @@ from repro.runtime import (
     job_from_dict,
 )
 from repro.runtime.campaign import CAMPAIGNS
+from repro.runtime.jobs import SCHEMA_VERSION
 from repro.workloads.trace import WorkloadClass
 
 #: A fast simulation spec: 50 ticks, one or two evaluation intervals.
@@ -126,10 +127,15 @@ class TestResultCache:
         cache = ResultCache(tmp_path / "cache")
         job = _tiny_job()
         cache.put(job, {"x": 1})
-        cache.path_for(job.content_hash).write_text("not json")
-        # A fresh instance has a cold memo, so the corrupt file is actually
-        # read (the writer instance would serve the entry from memory).
-        assert ResultCache(tmp_path / "cache").get(job) is None
+        path = cache.path_for(job.content_hash)
+        stale = dict(json.loads(path.read_text()), schema=SCHEMA_VERSION + 1)
+        for content in ("not json", json.dumps(stale)):
+            path.write_text(content)
+            # A fresh instance has a cold memo, so the corrupt file is actually
+            # read (the writer instance would serve the entry from memory).
+            fresh = ResultCache(tmp_path / "cache")
+            assert fresh.get(job) is None
+            assert fresh.entry(job.content_hash) is None
 
     def test_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
